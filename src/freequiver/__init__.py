@@ -105,8 +105,6 @@ from .catalog import (
     cbh_truncated,
     exp_truncated,
     matrix_exp_truncated,
-    ppt_a_map,
-    ppt_d_map,
     ppt_derivative,
     ppt_map,
     s3_presentation,

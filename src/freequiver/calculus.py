@@ -21,6 +21,8 @@ import numpy as np
 
 from .errors import BlockMismatchError
 from .exprs import (
+    P_TAG,
+    Q_TAG,
     FreeMapDef,
     ProductSpec,
     compose_maps,
@@ -29,7 +31,6 @@ from .exprs import (
     product_maps,
 )
 from .numerics import (
-    INVERTIBILITY_RTOL,
     as_complex_matrix,
     frob_norm,
     op_norm,
@@ -143,24 +144,18 @@ def unflatten_direction(x: Rep, vec: np.ndarray) -> DirectionField:
 def mixed_block_rep(x: Rep, y: Rep, u_mats: dict[str, np.ndarray]) -> Rep:
     """Arc a -> [[X(a), U(a)], [0, Y(a)]] over the shared quiver; U(a) must be
     x.dims[dst] by y.dims[src]."""
-    if x.quiver != y.quiver:
-        raise ValueError("block construction needs reps over the same quiver")
-    dims = {v: x.dims[v] + y.dims[v] for v in x.quiver.vertices}
-    mats = {}
+    z = direct_sum(x, y)
     for a in x.quiver.arcs:
-        xm, ym = x.mats[a.name], y.mats[a.name]
+        rows, cols = x.mats[a.name].shape
+        want = (rows, y.mats[a.name].shape[1])
         u = as_complex_matrix(u_mats[a.name])
-        if u.shape != (xm.shape[0], ym.shape[1]):
+        if u.shape != want:
             raise ValueError(
                 f"block at {a.name!r}: upper-right shape {u.shape} != "
-                f"{(xm.shape[0], ym.shape[1])}"
+                f"{want}"
             )
-        m = np.zeros((dims[a.dst], dims[a.src]), dtype=np.complex128)
-        m[: xm.shape[0], : xm.shape[1]] = xm
-        m[: xm.shape[0], xm.shape[1]:] = u
-        m[xm.shape[0]:, xm.shape[1]:] = ym
-        mats[a.name] = m
-    return Rep(x.quiver, dims, mats)
+        z.mats[a.name][:rows, cols:] = u
+    return z
 
 
 def block_extend(x: Rep, h: DirectionField) -> Rep:
@@ -186,14 +181,12 @@ def directional_derivative(
     f: FreeMapDef,
     x: Rep,
     h: DirectionField,
-    block_tol: float = BLOCK_TOL,
-    inv_rtol: float = INVERTIBILITY_RTOL,
 ) -> DirectionField:
     """Df(X)[H] read off the block point; the diagonal blocks are asserted to
     reproduce f(X) and the lower-left to vanish (anything else means the map
     is not free or the point is effectively irregular)."""
-    fx = eval_map(f, x, inv_rtol=inv_rtol)
-    big = eval_map(f, block_extend(x, h), inv_rtol=inv_rtol)
+    fx = eval_map(f, x)
+    big = eval_map(f, block_extend(x, h))
     out = {}
     for a in f.target_quiver.arcs:
         m, n = fx.dims[a.dst], fx.dims[a.src]
@@ -204,10 +197,10 @@ def directional_derivative(
             rel_diff(br, base),
             rel_residual(op_norm(bl), big.mats[a.name]),
         )
-        if worst > block_tol:
+        if worst > BLOCK_TOL:
             raise BlockMismatchError(
                 f"block structure broke at arc {a.name!r}: residual {worst:.3e} "
-                f"exceeds {block_tol:.1e}"
+                f"exceeds {BLOCK_TOL:.1e}"
             )
         out[a.name] = tr
     return DirectionField(fx, out)
@@ -278,7 +271,7 @@ def _index_table(x: Rep) -> list[tuple[str, int, int]]:
 
 
 def derivative_matrix(
-    f: FreeMapDef, x: Rep, block_tol: float = BLOCK_TOL
+    f: FreeMapDef, x: Rep
 ) -> DerivativeMatrix:
     """Assemble Df(X) one column at a time: column j is the directional
     derivative along the j-th matrix-unit direction. Columns are independent
@@ -289,7 +282,7 @@ def derivative_matrix(
     matrix = np.zeros((len(row_index), len(col_index)), dtype=np.complex128)
     for j, (arc, i, k) in enumerate(col_index):
         h = matrix_unit_direction(x, arc, i, k)
-        dd = directional_derivative(f, x, h, block_tol=block_tol)
+        dd = directional_derivative(f, x, h)
         matrix[:, j] = flatten_direction(dd)
     return DerivativeMatrix(matrix, col_index, row_index, x, fx)
 
@@ -362,13 +355,12 @@ def ift_certificate(f: FreeMapDef, x: Rep, tol: float = IFT_TOL) -> IFTCertifica
 
 def chain_rule_check(
     f: FreeMapDef, g: FreeMapDef, x: Rep, h: DirectionField,
-    block_tol: float = BLOCK_TOL,
 ) -> float:
     """Max relative gap between D(f∘g)(X)[H] and Df(g(X))[Dg(X)[H]]."""
-    lhs = directional_derivative(compose_maps(f, g), x, h, block_tol=block_tol)
+    lhs = directional_derivative(compose_maps(f, g), x, h)
     gx = eval_map(g, x)
-    inner = directional_derivative(g, x, h, block_tol=block_tol)
-    rhs = directional_derivative(f, gx, inner, block_tol=block_tol)
+    inner = directional_derivative(g, x, h)
+    rhs = directional_derivative(f, gx, inner)
     return direction_residual(lhs, rhs)
 
 
@@ -376,8 +368,8 @@ def pair_direction(h: DirectionField, k: DirectionField) -> DirectionField:
     """Direction at pair_rep(h.base, k.base): left components tagged p.,
     right components tagged q."""
     base = pair_rep(h.base, k.base)
-    mats = {f"p.{a}": m for a, m in h.h_mats.items()}
-    mats.update({f"q.{a}": m for a, m in k.h_mats.items()})
+    mats = {P_TAG + a: m for a, m in h.h_mats.items()}
+    mats.update({Q_TAG + a: m for a, m in k.h_mats.items()})
     return DirectionField(base, mats)
 
 
@@ -389,17 +381,16 @@ def leibniz_check(
     y: Rep,
     h: DirectionField,
     k: DirectionField,
-    block_tol: float = BLOCK_TOL,
 ) -> float:
     """Max relative gap between D(f×g)(X×Y)[H×K] and
     Df(X)[H]×g(Y) + f(X)×Dg(Y)[K], componentwise over the target arcs."""
     prod = product_maps(spec, f, g)
     z = pair_rep(x, y)
     hk = pair_direction(h, k)
-    lhs = directional_derivative(prod, z, hk, block_tol=block_tol)
+    lhs = directional_derivative(prod, z, hk)
     fx, gy = eval_map(f, x), eval_map(g, y)
-    df = directional_derivative(f, x, h, block_tol=block_tol)
-    dg = directional_derivative(g, y, k, block_tol=block_tol)
+    df = directional_derivative(f, x, h)
+    dg = directional_derivative(g, y, k)
     worst = 0.0
     for r, (pa, qa) in spec.pairs.items():
         want = df.h_mats[pa] @ gy.mats[qa] + fx.mats[pa] @ dg.h_mats[qa]
@@ -412,7 +403,6 @@ def gamma_commutation_check(
     x: Rep,
     y: Rep,
     gamma: NatTrans,
-    block_tol: float = BLOCK_TOL,
 ) -> float:
     """Evaluate f on the block point [[X, XΓ−ΓY], [0, Y]] and compare against
     [[f(X), f(X)Γ−Γf(Y)], [0, f(Y)]]. Γ only needs compatible shapes; the

@@ -32,8 +32,6 @@ from .exprs import (
     typecheck,
 )
 from .numerics import (
-    DEFAULT_TOL,
-    INVERTIBILITY_RTOL,
     as_complex_matrix,
     is_invertible,
     op_norm,
@@ -120,16 +118,6 @@ def ppt_map(variant: str = "pivot_D") -> FreeMapDef:
     return FreeMapDef(sch_quiver(), sch_quiver(), entries)
 
 
-def ppt_d_map() -> FreeMapDef:
-    """ppt_map with the D block as pivot."""
-    return ppt_map("pivot_D")
-
-
-def ppt_a_map() -> FreeMapDef:
-    """ppt_map with the A block as pivot."""
-    return ppt_map("pivot_A")
-
-
 def schur_derivative(x: Rep, h: DirectionField) -> np.ndarray:
     """Closed-form directional derivative of the Schur complement map:
     H_A - H_B D^-1 C + B D^-1 H_D D^-1 C - B D^-1 H_C."""
@@ -187,15 +175,14 @@ def assemble_blocks(x: Rep) -> np.ndarray:
     return np.block([[x.mats["x1"], x.mats["x12"]], [x.mats["x21"], x.mats["x2"]]])
 
 
-def block_inverse_check(x: Rep, tol: float = DEFAULT_TOL,
-                        inv_rtol: float = INVERTIBILITY_RTOL) -> float:
+def block_inverse_check(x: Rep) -> float:
     """Max relative block residual between the formula and direct inversion."""
     nu = x.dims["u"]
     big = assemble_blocks(x)
-    if not is_invertible(big, inv_rtol):
+    if not is_invertible(big):
         raise RegularityError("assembled block matrix is not invertible")
     direct = np.linalg.inv(big)
-    image = eval_map(block_inverse_map(), x, inv_rtol=inv_rtol)
+    image = eval_map(block_inverse_map(), x)
     slots = {
         "x1": direct[:nu, :nu],
         "x12": direct[:nu, nu:],
@@ -226,8 +213,7 @@ def smw_rhs_map() -> FreeMapDef:
     return FreeMapDef(smw_quiver(), one_loop_target(), {"x": entry})
 
 
-def smw_check(x: Rep, tol: float = DEFAULT_TOL,
-              inv_rtol: float = INVERTIBILITY_RTOL) -> float:
+def smw_check(x: Rep) -> float:
     """Relative residual of the rank-k update identity at x.
 
     Compares direct numeric inversion of a + U c V against both the expanded
@@ -235,11 +221,11 @@ def smw_check(x: Rep, tol: float = DEFAULT_TOL,
     """
     a, u, c, v = (x.mats[k] for k in ("a", "U", "c", "V"))
     updated = a + u @ c @ v
-    if not is_invertible(updated, inv_rtol):
+    if not is_invertible(updated):
         raise RegularityError("a + U c V is not invertible")
     direct = np.linalg.inv(updated)
-    rhs = eval_map(smw_rhs_map(), x, inv_rtol=inv_rtol).mats["x"]
-    lhs = eval_map(smw_lhs_map(), x, inv_rtol=inv_rtol).mats["x"]
+    rhs = eval_map(smw_rhs_map(), x).mats["x"]
+    lhs = eval_map(smw_lhs_map(), x).mats["x"]
     return max(
         rel_residual(op_norm(direct - rhs), direct, rhs),
         rel_residual(op_norm(direct - lhs), direct, lhs),

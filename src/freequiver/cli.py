@@ -15,7 +15,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,26 +51,6 @@ RECORD_VERSION = 1
 DEMO_NAMES = ("schur", "ppt", "block-inverse", "smw", "cbh", "nilpotent")
 FD_EPS = 1e-6
 FD_PASS_TOL = 1e-4
-
-
-@dataclass
-class JobSpec:
-    """One parsed invocation. Exactly one command; optional knobs default
-    per-command (seed falls back to the FREEQUIVER_SEED env var, then 0)."""
-
-    command: str
-    map_path: str | None = None
-    rep_path: str | None = None
-    demo: str | None = None
-    poly: list[float] = field(default_factory=list)
-    n: int | None = None
-    seed: int | None = None
-    dims: dict[str, int] | None = None
-    tol: float | None = None
-    trials: int = 50
-    out: str | None = None
-    format: str = "human"
-    zero_arc: str | None = None
 
 
 def parse_dims(text: str) -> dict[str, int]:
@@ -171,7 +150,7 @@ def _fmt_matrix(m: np.ndarray) -> str:
 # ---------------------------------------------------------------------------
 # Input loading
 
-def _load_map(job: JobSpec) -> FreeMapDef:
+def _load_map(job: argparse.Namespace) -> FreeMapDef:
     if job.map_path is None:
         raise ParseError("this command needs --map FILE")
     f = parse_definition_file(job.map_path)
@@ -180,7 +159,7 @@ def _load_map(job: JobSpec) -> FreeMapDef:
     return f
 
 
-def _load_point(job: JobSpec, f: FreeMapDef) -> Rep:
+def _load_point(job: argparse.Namespace, f: FreeMapDef) -> Rep:
     """The evaluation point: an explicit rep file, or a seeded random rep on
     the map's source quiver at --dims."""
     if job.rep_path is not None:
@@ -212,7 +191,7 @@ def _zero_arc(x: Rep, arc: str) -> Rep:
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_eval(job: JobSpec, rep: Report) -> int:
+def cmd_eval(job: argparse.Namespace, rep: Report) -> int:
     f = _load_map(job)
     x = _load_point(job, f)
     image = eval_map(f, x)
@@ -224,7 +203,7 @@ def cmd_eval(job: JobSpec, rep: Report) -> int:
     return 0
 
 
-def cmd_derive(job: JobSpec, rep: Report) -> int:
+def cmd_derive(job: argparse.Namespace, rep: Report) -> int:
     f = _load_map(job)
     x = _load_point(job, f)
     seed = resolve_seed(job.seed)
@@ -245,7 +224,7 @@ def cmd_derive(job: JobSpec, rep: Report) -> int:
     return 0 if ok else 1
 
 
-def cmd_certify(job: JobSpec, rep: Report) -> int:
+def cmd_certify(job: argparse.Namespace, rep: Report) -> int:
     f = _load_map(job)
     x = _load_point(job, f)
     if job.zero_arc is not None:
@@ -282,7 +261,7 @@ def cmd_certify(job: JobSpec, rep: Report) -> int:
     return 0
 
 
-def cmd_check_free(job: JobSpec, rep: Report) -> int:
+def cmd_check_free(job: argparse.Namespace, rep: Report) -> int:
     f = _load_map(job)
     if job.dims is None:
         raise ParseError("check-free needs --dims k=v[,k=v...]")
@@ -305,7 +284,7 @@ def cmd_check_free(job: JobSpec, rep: Report) -> int:
     return 0 if report.passed else 1
 
 
-def _demo_schur(job: JobSpec, rep: Report) -> None:
+def _demo_schur(job: argparse.Namespace, rep: Report) -> None:
     dims = job.dims or {"u": 3, "v": 2}
     seed = resolve_seed(job.seed)
     f = schur_map()
@@ -332,7 +311,7 @@ def _demo_schur(job: JobSpec, rep: Report) -> None:
     )
 
 
-def _demo_ppt(job: JobSpec, rep: Report) -> None:
+def _demo_ppt(job: argparse.Namespace, rep: Report) -> None:
     dims = job.dims or {"u": 3, "v": 2}
     seed = resolve_seed(job.seed)
     x = random_rep(sch_quiver(), dims, seed)
@@ -349,7 +328,7 @@ def _demo_ppt(job: JobSpec, rep: Report) -> None:
         rep.check(f"derivative_closed_form_{variant}", float(num / den), 1e-9)
 
 
-def _demo_block_inverse(job: JobSpec, rep: Report) -> None:
+def _demo_block_inverse(job: argparse.Namespace, rep: Report) -> None:
     dims = job.dims or {"u": 3, "v": 2}
     seed = resolve_seed(job.seed)
     x = random_rep(sch_quiver(), dims, seed)
@@ -365,7 +344,7 @@ def _demo_block_inverse(job: JobSpec, rep: Report) -> None:
     rep.check("schur_complement_consistency", float(num / den), 1e-8)
 
 
-def _demo_smw(job: JobSpec, rep: Report) -> None:
+def _demo_smw(job: argparse.Namespace, rep: Report) -> None:
     dims = job.dims or {"u": 5, "v": 2}
     seed = resolve_seed(job.seed)
     x = random_rep(smw_quiver(), dims, seed)
@@ -373,7 +352,7 @@ def _demo_smw(job: JobSpec, rep: Report) -> None:
     rep.check("low_rank_update_inverse", smw_check(x), tol)
 
 
-def _demo_cbh(job: JobSpec, rep: Report) -> None:
+def _demo_cbh(job: argparse.Namespace, rep: Report) -> None:
     seed = resolve_seed(job.seed)
     rng = np.random.Generator(np.random.PCG64(seed))
     x0 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
@@ -403,7 +382,7 @@ def _demo_cbh(job: JobSpec, rep: Report) -> None:
     rep.check("commuting_inputs_exact", float(commuting), 1e-12)
 
 
-def _demo_nilpotent(job: JobSpec, rep: Report) -> None:
+def _demo_nilpotent(job: argparse.Namespace, rep: Report) -> None:
     # fixed integer scenario: p = 1 + 4x + 3x^3 read off a 3x3 nilpotent
     # point, exact in int64, so the machine output is golden-file safe
     poly = [1, 4, 0, 3]
@@ -436,7 +415,7 @@ DEMOS = {
 }
 
 
-def cmd_demo(job: JobSpec, rep: Report) -> int:
+def cmd_demo(job: argparse.Namespace, rep: Report) -> int:
     if job.demo not in DEMOS:
         raise ParseError(f"unknown demo {job.demo!r}; pick one of {DEMO_NAMES}")
     DEMOS[job.demo](job, rep)
@@ -450,7 +429,7 @@ def _coeff_value(c):
     return c.real if c.imag == 0 else [c.real, c.imag]
 
 
-def cmd_coeffs(job: JobSpec, rep: Report) -> int:
+def cmd_coeffs(job: argparse.Namespace, rep: Report) -> int:
     if not job.poly or job.n is None:
         raise ParseError("coeffs needs --poly c0,c1,... and --n SIZE")
     row = nilpotent_coefficients(job.poly, job.n)
@@ -475,8 +454,9 @@ COMMANDS = {
 }
 
 
-def run(job: JobSpec) -> tuple[int, str]:
-    """Execute one job; returns (exit code, report text). Parse and
+def run(job: argparse.Namespace) -> tuple[int, str]:
+    """Execute one parsed invocation (dims and poly already converted by
+    parse_dims/parse_poly); returns (exit code, report text). Parse and
     regularity errors propagate as exceptions for main() to map to codes."""
     rep = Report(job.format)
     code = COMMANDS[job.command](job, rep)
@@ -545,24 +525,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def job_from_args(args: argparse.Namespace) -> JobSpec:
-    return JobSpec(
-        command=args.command,
-        map_path=getattr(args, "map_path", None),
-        rep_path=getattr(args, "rep_path", None),
-        demo=getattr(args, "demo", None),
-        poly=parse_poly(args.poly) if getattr(args, "poly", None) else [],
-        n=getattr(args, "n", None),
-        seed=getattr(args, "seed", None),
-        dims=parse_dims(args.dims) if getattr(args, "dims", None) else None,
-        tol=getattr(args, "tol", None),
-        trials=getattr(args, "trials", 50),
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", "human"),
-        zero_arc=getattr(args, "zero_arc", None),
-    )
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -570,16 +532,19 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code or 0)
     try:
-        job = job_from_args(args)
-        code, text = run(job)
+        if "dims" in args:
+            args.dims = parse_dims(args.dims) if args.dims else None
+        if "poly" in args:
+            args.poly = parse_poly(args.poly) if args.poly else []
+        code, text = run(args)
     except (ParseError, TypecheckError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except RegularityError as e:
         print(f"regularity error: {e}", file=sys.stderr)
         return 3
-    if job.out is not None:
-        with open(job.out, "w", encoding="utf-8") as fh:
+    if args.out is not None:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)

@@ -20,7 +20,7 @@ import numpy as np
 from .calculus import ift_certificate
 from .errors import RegularityError
 from .exprs import FreeMapDef, MapLike, apply_map
-from .quivers import Quiver, classical_embed  # noqa: F401  (harness fixture constructor)
+from .quivers import Quiver
 from .reps import (
     NatAuto,
     NatTrans,

@@ -25,9 +25,6 @@ import numpy as np
 from .errors import RegularityError, TypecheckError
 from .numerics import (
     INVERTIBILITY_RTOL,
-    has_full_column_rank,
-    has_full_row_rank,
-    is_invertible,
     singular_values,
 )
 from .quivers import (
@@ -352,14 +349,16 @@ def _pinv(m: np.ndarray) -> np.ndarray:
 def eval_expr(
     e: Expr,
     x: Rep,
-    inv_rtol: float = INVERTIBILITY_RTOL,
     entry: str | None = None,
     diagnostics: list[InvDiagnostic] | None = None,
 ) -> np.ndarray:
     """Evaluate e on the representation x.
 
-    Inverse nodes raise RegularityError (naming the node) when the operand
-    fails its rank/invertibility threshold; with a diagnostics list supplied,
+    An inverse node is regular when the operand's shape allows the mode
+    (square for two_sided, rows >= cols for left, cols >= rows for right) and
+    its singular values are empty or satisfy
+    sigma_min > INVERTIBILITY_RTOL * sigma_max. Irregular nodes raise
+    RegularityError (naming the node); with a diagnostics list supplied,
     failures are recorded instead and a pseudo-inverse stands in so the scan
     can continue.
     """
@@ -369,31 +368,33 @@ def eval_expr(
         case Id(vertex):
             return np.eye(x.dims[vertex], dtype=np.complex128)
         case Add(terms):
-            vals = [eval_expr(t, x, inv_rtol, entry, diagnostics) for t in terms]
+            vals = [eval_expr(t, x, entry, diagnostics) for t in terms]
             return reduce(lambda a, b: a + b, vals)
         case Scale(k, of):
-            return k * eval_expr(of, x, inv_rtol, entry, diagnostics)
+            return k * eval_expr(of, x, entry, diagnostics)
         case Mul(factors):
-            vals = [eval_expr(f, x, inv_rtol, entry, diagnostics) for f in factors]
+            vals = [eval_expr(f, x, entry, diagnostics) for f in factors]
             return reduce(lambda a, b: a @ b, vals)
         case Inv(of, mode):
-            m = eval_expr(of, x, inv_rtol, entry, diagnostics)
+            m = eval_expr(of, x, entry, diagnostics)
             s = singular_values(m)
             smin = float(s[-1]) if s.size else 0.0
             smax = float(s[0]) if s.size else 0.0
+            rows, cols = m.shape
             if mode == "two_sided":
-                ok = m.shape[0] == m.shape[1] and is_invertible(m, rtol=inv_rtol)
+                shape_ok = rows == cols
                 reason = (
                     "two-sided inverse of a rectangular value"
-                    if m.shape[0] != m.shape[1]
+                    if rows != cols
                     else "operand numerically singular"
                 )
             elif mode == "left":
-                ok = has_full_column_rank(m, rtol=inv_rtol)
+                shape_ok = rows >= cols
                 reason = "no left inverse: operand lacks full column rank"
             else:
-                ok = has_full_row_rank(m, rtol=inv_rtol)
+                shape_ok = cols >= rows
                 reason = "no right inverse: operand lacks full row rank"
+            ok = shape_ok and (s.size == 0 or smin > INVERTIBILITY_RTOL * smax)
             if diagnostics is not None:
                 diagnostics.append(
                     InvDiagnostic(entry, render_expr(e), mode, smin, smax, ok)
@@ -486,34 +487,34 @@ def identity_map(q: Quiver) -> FreeMapDef:
     return FreeMapDef(q, q, {a.name: Atom(a.name) for a in q.arcs})
 
 
-def eval_map(f: FreeMapDef, x: Rep, inv_rtol: float = INVERTIBILITY_RTOL) -> Rep:
+def eval_map(f: FreeMapDef, x: Rep) -> Rep:
     """Evaluate every entry on x. The image lives over the target quiver with
     the same dimensions under the vertex identification (objects unchanged)."""
     if x.quiver != f.source_quiver:
         raise ValueError("representation is over a different quiver than the map's source")
     dims = {v: x.dims[f.vertex_map[v]] for v in f.target_quiver.vertices}
     mats = {
-        r: eval_expr(e, x, inv_rtol=inv_rtol, entry=r) for r, e in f.entries.items()
+        r: eval_expr(e, x, entry=r) for r, e in f.entries.items()
     }
     return Rep(f.target_quiver, dims, mats)
 
 
-def apply_map(f: MapLike, x: Rep, inv_rtol: float = INVERTIBILITY_RTOL) -> Rep:
+def apply_map(f: MapLike, x: Rep) -> Rep:
     """eval_map for FreeMapDefs; direct call for raw callables (test hooks)."""
     if isinstance(f, FreeMapDef):
-        return eval_map(f, x, inv_rtol=inv_rtol)
+        return eval_map(f, x)
     return f(x)
 
 
 def is_regular(
-    f: FreeMapDef, x: Rep, inv_rtol: float = INVERTIBILITY_RTOL
+    f: FreeMapDef, x: Rep
 ) -> tuple[bool, list[InvDiagnostic]]:
     """True iff every inverse node passes its threshold at x; diagnostics
     cover every inverse node visited (pseudo-inverses stand in after a
     failure so later nodes still get scanned)."""
     diags: list[InvDiagnostic] = []
     for r, e in f.entries.items():
-        eval_expr(e, x, inv_rtol=inv_rtol, entry=r, diagnostics=diags)
+        eval_expr(e, x, entry=r, diagnostics=diags)
     return all(d.ok for d in diags), diags
 
 
@@ -545,20 +546,19 @@ def _require_same_frame(f: FreeMapDef, g: FreeMapDef) -> None:
         raise ValueError("maps live on different quivers or identifications")
 
 
-def _substitute(e: Expr, g: FreeMapDef) -> Expr:
+def map_leaves(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
+    """Rebuild e with every Atom and Id node replaced by leaf(node)."""
     match e:
-        case Atom(arc):
-            return g.entries[arc]
-        case Id(vertex):
-            return Id(g.vertex_map[vertex])
+        case Atom(_) | Id(_):
+            return leaf(e)
         case Add(terms):
-            return Add(tuple(_substitute(t, g) for t in terms))
+            return Add(tuple(map_leaves(t, leaf) for t in terms))
         case Scale(k, of):
-            return Scale(k, _substitute(of, g))
+            return Scale(k, map_leaves(of, leaf))
         case Mul(factors):
-            return Mul(tuple(_substitute(f, g) for f in factors))
+            return Mul(tuple(map_leaves(f, leaf) for f in factors))
         case Inv(of, mode):
-            return Inv(_substitute(of, g), mode)
+            return Inv(map_leaves(of, leaf), mode)
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -567,8 +567,12 @@ def compose_maps(f: FreeMapDef, g: FreeMapDef) -> FreeMapDef:
     vertices), so eval(compose(f, g), x) == eval(f, eval(g, x))."""
     if g.target_quiver != f.source_quiver:
         raise ValueError("inner map's target quiver differs from outer map's source")
+
+    def leaf(e: Expr) -> Expr:
+        return g.entries[e.arc] if isinstance(e, Atom) else Id(g.vertex_map[e.vertex])
+
     entries = {
-        r: normalize(_substitute(e, g)) for r, e in f.entries.items()
+        r: normalize(map_leaves(e, leaf)) for r, e in f.entries.items()
     }
     vmap = {v: g.vertex_map[f.vertex_map[v]] for v in f.target_quiver.vertices}
     return FreeMapDef(g.source_quiver, f.target_quiver, entries, vmap)
@@ -720,22 +724,22 @@ Q_TAG = "q."
 class ProductSpec:
     """For each target arc, which arc of the left factor's quiver pairs with
     which arc of the right factor's quiver. The left factor is always
-    leftmost in the product (left_multiplication)."""
+    leftmost in the product."""
 
     p_quiver: Quiver
     q_quiver: Quiver
     target_quiver: Quiver
     pairs: dict[str, tuple[str, str]]
-    left_multiplication: bool = True
 
     def __post_init__(self):
-        if not self.left_multiplication:
-            raise ValueError("only the left-multiplication orientation is implemented")
         self.pairs = {r: (pa, qa) for r, (pa, qa) in self.pairs.items()}
         for a in self.target_quiver.arcs:
             if a.name not in self.pairs:
                 raise ValueError(f"missing pair for target arc {a.name!r}")
             pa_name, qa_name = self.pairs[a.name]
+            for q, name in ((self.p_quiver, pa_name), (self.q_quiver, qa_name)):
+                if not q.has_arc(name):
+                    raise ValueError(f"pair for {a.name!r} names unknown arc {name!r}")
             pa = self.p_quiver.arc(pa_name)
             qa = self.q_quiver.arc(qa_name)
             if qa.dst != pa.src:
@@ -753,19 +757,19 @@ class ProductSpec:
             raise ValueError(f"pairs for unknown target arcs: {sorted(extra)}")
 
 
-def union_quiver(qp: Quiver, qq: Quiver, p_tag: str = P_TAG, q_tag: str = Q_TAG) -> Quiver:
+def union_quiver(qp: Quiver, qq: Quiver) -> Quiver:
     """Disjoint union on arcs (tagged), shared vertices by name."""
     vertices = list(qp.vertices) + [v for v in qq.vertices if v not in qp.vertices]
-    arcs = [(p_tag + a.name, a.src, a.dst) for a in qp.arcs] + [
-        (q_tag + a.name, a.src, a.dst) for a in qq.arcs
+    arcs = [(P_TAG + a.name, a.src, a.dst) for a in qp.arcs] + [
+        (Q_TAG + a.name, a.src, a.dst) for a in qq.arcs
     ]
     return check_quiver(Quiver(tuple(vertices), tuple(arcs)))
 
 
-def pair_rep(x: Rep, y: Rep, p_tag: str = P_TAG, q_tag: str = Q_TAG) -> Rep:
+def pair_rep(x: Rep, y: Rep) -> Rep:
     """A point of the union quiver holding x on the tagged left arcs and y on
     the tagged right arcs. Shared vertices must agree in dimension."""
-    uq = union_quiver(x.quiver, y.quiver, p_tag, q_tag)
+    uq = union_quiver(x.quiver, y.quiver)
     dims = dict(x.dims)
     for v in y.quiver.vertices:
         if v in dims and dims[v] != y.dims[v]:
@@ -774,26 +778,9 @@ def pair_rep(x: Rep, y: Rep, p_tag: str = P_TAG, q_tag: str = Q_TAG) -> Rep:
                 f"but {y.dims[v]} on the right"
             )
         dims.setdefault(v, y.dims[v])
-    mats = {p_tag + a: m for a, m in x.mats.items()}
-    mats.update({q_tag + a: m for a, m in y.mats.items()})
+    mats = {P_TAG + a: m for a, m in x.mats.items()}
+    mats.update({Q_TAG + a: m for a, m in y.mats.items()})
     return Rep(uq, dims, mats)
-
-
-def _retag(e: Expr, tag: str) -> Expr:
-    match e:
-        case Atom(arc):
-            return Atom(tag + arc)
-        case Id(_):
-            return e
-        case Add(terms):
-            return Add(tuple(_retag(t, tag) for t in terms))
-        case Scale(k, of):
-            return Scale(k, _retag(of, tag))
-        case Mul(factors):
-            return Mul(tuple(_retag(f, tag) for f in factors))
-        case Inv(of, mode):
-            return Inv(_retag(of, tag), mode)
-    raise TypeError(f"not an expression: {e!r}")
 
 
 def product_maps(spec: ProductSpec, f: FreeMapDef, g: FreeMapDef) -> FreeMapDef:
@@ -804,10 +791,14 @@ def product_maps(spec: ProductSpec, f: FreeMapDef, g: FreeMapDef) -> FreeMapDef:
         raise ValueError("left factor does not target the product spec's left quiver")
     if g.target_quiver != spec.q_quiver:
         raise ValueError("right factor does not target the product spec's right quiver")
+
+    def retag(e: Expr, tag: str) -> Expr:
+        return map_leaves(e, lambda n: Atom(tag + n.arc) if isinstance(n, Atom) else n)
+
     source = union_quiver(f.source_quiver, g.source_quiver)
     entries = {}
     for r, (pa, qa) in spec.pairs.items():
         entries[r] = normalize(
-            Mul((_retag(f.entries[pa], P_TAG), _retag(g.entries[qa], Q_TAG)))
+            Mul((retag(f.entries[pa], P_TAG), retag(g.entries[qa], Q_TAG)))
         )
     return FreeMapDef(source, spec.target_quiver, entries)

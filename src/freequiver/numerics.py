@@ -84,21 +84,6 @@ def is_invertible(m, rtol: float = INVERTIBILITY_RTOL) -> bool:
     return bool(s[-1] > rtol * s[0])
 
 
-def has_full_column_rank(m, rtol: float = INVERTIBILITY_RTOL) -> bool:
-    a = np.asarray(m)
-    rows, cols = a.shape
-    if cols == 0:
-        return True
-    if rows < cols:
-        return False
-    s = singular_values(a)
-    return bool(s[-1] > rtol * s[0])
-
-
-def has_full_row_rank(m, rtol: float = INVERTIBILITY_RTOL) -> bool:
-    return has_full_column_rank(np.asarray(m).T, rtol=rtol)
-
-
 def nullspace_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
     """Default rank cutoff: max(shape) * machine eps * sigma_max * 10."""
     if s.size == 0:

@@ -19,7 +19,6 @@ import numpy as np
 from .errors import RegularityError
 from .numerics import (
     DEFAULT_TOL,
-    INVERTIBILITY_RTOL,
     as_complex_matrix,
     frob_norm,
     is_invertible,
@@ -60,9 +59,6 @@ class Rep:
         if extra:
             raise ValueError(f"matrices for unknown arcs: {sorted(extra)}")
         self.mats = mats
-
-    def mat(self, arc_name: str) -> np.ndarray:
-        return self.mats[arc_name]
 
 
 def rep_distance(x: Rep, y: Rep) -> float:
@@ -276,7 +272,7 @@ def random_rep(q: Quiver, dims: Mapping[str, int], seed: int) -> Rep:
     return Rep(q, dict(dims), mats)
 
 
-def random_auto(x: Rep, seed: int, rtol: float = INVERTIBILITY_RTOL) -> NatAuto:
+def random_auto(x: Rep, seed: int) -> NatAuto:
     """Seeded random natural automorphism of x: Ginibre per vertex, redrawn
     (deterministically) in the rare singular case."""
     rng = np.random.Generator(np.random.PCG64(seed))
@@ -285,7 +281,7 @@ def random_auto(x: Rep, seed: int, rtol: float = INVERTIBILITY_RTOL) -> NatAuto:
         n = x.dims[v]
         while True:
             s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            if is_invertible(s, rtol=rtol):
+            if is_invertible(s):
                 break
         mats[v] = s
     return NatAuto(x, mats)

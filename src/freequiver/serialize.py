@@ -101,13 +101,11 @@ def obj_to_quiver(obj: Any, where: str = "quiver") -> Quiver:
     arcs = []
     for i, a in enumerate(arcs_obj):
         here = f"{where}.arcs[{i}]"
-        arcs.append(
-            Arc(
-                _require(a, "name", here),
-                _require(a, "src", here),
-                _require(a, "dst", here),
-            )
-        )
+        fields = {key: _require(a, key, here) for key in ("name", "src", "dst")}
+        for key, value in fields.items():
+            if not isinstance(value, str):
+                raise ParseError(f"{here}.{key}: expected a string, got {value!r}")
+        arcs.append(Arc(**fields))
     q = Quiver(vertices, arcs)
     problems = validate_quiver(q)
     if problems:
@@ -248,7 +246,6 @@ def product_to_obj(ps: ProductSpec) -> dict:
         "pairs": {
             a.name: list(ps.pairs[a.name]) for a in ps.target_quiver.arcs
         },
-        "left_multiplication": ps.left_multiplication,
     }
 
 
@@ -264,10 +261,11 @@ def obj_to_product(obj: Any, where: str = "product") -> ProductSpec:
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ParseError(f"{where}.pairs.{name}: expected [p_arc, q_arc]")
         pairs[name] = (pair[0], pair[1])
+    # older files carry the field; left multiplication is the only orientation
+    if obj.get("left_multiplication", True) is not True:
+        raise ParseError(f"{where}.left_multiplication: only true is supported")
     try:
-        return ProductSpec(
-            p_q, q_q, target, pairs, obj.get("left_multiplication", True)
-        )
+        return ProductSpec(p_q, q_q, target, pairs)
     except ValueError as e:
         raise ParseError(f"{where}: {e}") from e
 
@@ -314,10 +312,11 @@ def dump(thing: Definition, path) -> None:
 
 def loads(text: str) -> Definition:
     try:
-        obj = json.loads(text)
+        return from_obj(json.loads(text))
     except json.JSONDecodeError as e:
         raise ParseError(f"line {e.lineno}, column {e.colno}: {e.msg}") from e
-    return from_obj(obj)
+    except RecursionError:
+        raise ParseError("definition is nested too deeply") from None
 
 
 def parse_definition_file(path) -> Definition:

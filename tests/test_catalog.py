@@ -16,8 +16,6 @@ from freequiver.catalog import (
     intertwine_demo_map,
     matrix_exp_truncated,
     one_loop_target,
-    ppt_a_map,
-    ppt_d_map,
     ppt_derivative,
     ppt_map,
     rational_triple_derivative,
@@ -132,10 +130,6 @@ class TestPPT:
         x = sch_point(6)
         image = eval_map(ppt_map("pivot_A"), x)
         assert max_arc_residual(image, ppt_a_oracle(*sch_blocks(x))) < 1e-12
-
-    def test_named_variant_constructors(self):
-        assert ppt_d_map() == ppt_map("pivot_D")
-        assert ppt_a_map() == ppt_map("pivot_A")
 
     @pytest.mark.parametrize("variant", ["pivot_D", "pivot_A"])
     def test_involution(self, variant):

@@ -163,6 +163,28 @@ class TestSerializeErrors:
         with pytest.raises(TypecheckError, match="x12"):
             loads(json.dumps(obj))
 
+    def test_arc_fields_must_be_strings(self):
+        with pytest.raises(ParseError, match=r"arcs\[0\]\.name"):
+            loads(json.dumps({
+                "kind": "quiver",
+                "vertices": ["u"],
+                "arcs": [{"name": 5, "src": "u", "dst": "u"}],
+            }))
+
+    def test_product_orientation_field(self):
+        q = sch_quiver()
+        spec = ProductSpec(q, q, q, {
+            "x1": ("x1", "x1"), "x2": ("x2", "x2"),
+            "x12": ("x12", "x2"), "x21": ("x21", "x1"),
+        })
+        obj = json.loads(dumps(spec))
+        assert "left_multiplication" not in obj
+        obj["left_multiplication"] = True
+        assert loads(json.dumps(obj)).pairs == spec.pairs
+        obj["left_multiplication"] = False
+        with pytest.raises(ParseError, match="left_multiplication"):
+            loads(json.dumps(obj))
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(ParseError, match="cannot read"):
             parse_definition_file(tmp_path / "absent.map")
@@ -221,6 +243,30 @@ class TestExitCodes:
         bad = tmp_path / "bad.map"
         bad.write_text("{broken")
         assert main(["eval", "--map", str(bad), "--dims", "u=2,v=2"]) == 2
+
+    def test_product_with_unknown_arc_exits_2(self, tmp_path, capsys):
+        q = sch_quiver()
+        obj = json.loads(dumps(ProductSpec(q, q, q, {
+            "x1": ("x1", "x1"), "x2": ("x2", "x2"),
+            "x12": ("x12", "x2"), "x21": ("x21", "x1"),
+        })))
+        obj["pairs"]["x1"] = ["x1", "nope"]
+        bad = tmp_path / "prod.json"
+        bad.write_text(json.dumps(obj))
+        assert main(["eval", "--map", str(bad), "--dims", "u=2,v=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "'nope'" in err
+
+    def test_deeply_nested_expression_exits_2(self, schur_file, tmp_path, capsys):
+        depth = 3000
+        obj = json.loads(Path(schur_file).read_text())
+        obj["entries"]["x"] = {"op": "atom", "arc": "x1"}
+        head, tail = json.dumps(obj).split('{"op": "atom", "arc": "x1"}')
+        nested = '{"op": "inv", "of": ' * depth + '{"op": "atom", "arc": "x1"}' + "}" * depth
+        deep = tmp_path / "deep.map"
+        deep.write_text(head + nested + tail)
+        assert main(["eval", "--map", str(deep), "--dims", "u=2,v=2"]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_incomplete_dims_exits_2(self, schur_file, capsys):
         assert main(["eval", "--map", schur_file, "--dims", "u=2"]) == 2

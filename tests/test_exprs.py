@@ -325,6 +325,40 @@ class TestRegularity:
         assert not ok
         assert [d.ok for d in diags] == [False, True]
 
+    # modes whose inverse exists at each operand shape (random operands have
+    # full rank; the singular one is rank 1)
+    @pytest.mark.parametrize("mode", ["two_sided", "left", "right"])
+    @pytest.mark.parametrize("shape, regular_modes", [
+        ((0, 0), {"two_sided", "left", "right"}),
+        ((5, 0), {"left"}),
+        ((0, 5), {"right"}),
+        ((5, 2), {"left"}),
+        ((2, 5), {"right"}),
+        ("singular", set()),
+    ])
+    def test_inverse_node_rule_over_shapes(self, mode, shape, regular_modes):
+        q = Quiver(("u", "v"), (Arc("t", "u", "v"),))  # t: u -> v
+        if shape == "singular":
+            m = np.ones((3, 3), dtype=np.complex128)
+        else:
+            rng = np.random.Generator(np.random.PCG64(7))
+            m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rows, cols = m.shape
+        x = Rep(q, {"u": cols, "v": rows}, {"t": m})
+        node = inv(Atom("t"), mode)
+        f = FreeMapDef(q, Quiver(("u", "v"), (Arc("s", "v", "u"),)), {"s": node})
+        ok, diags = is_regular(f, x)
+        s = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
+        shape_ok = {"two_sided": rows == cols, "left": rows >= cols,
+                    "right": cols >= rows}[mode]
+        assert ok == diags[0].ok == (mode in regular_modes)
+        assert ok == (shape_ok and (s.size == 0 or s[-1] > 1e-10 * s[0]))
+        if ok:
+            assert eval_expr(node, x).shape == (cols, rows)
+        else:
+            with pytest.raises(RegularityError):
+                eval_expr(node, x)
+
     def test_regularity_closed_under_direct_sum(self):
         f = schur_map()
         for seed in range(5):
@@ -608,11 +642,11 @@ class TestProducts:
             ProductSpec(sch_quiver(), two_loop_targets(), sch_quiver(), {
                 "x1": ("x1", "x1"),
             })
-        with pytest.raises(ValueError, match="left-multiplication"):
+        with pytest.raises(ValueError, match="unknown arc 'nope'"):
             ProductSpec(sch_quiver(), two_loop_targets(), sch_quiver(), {
                 "x1": ("x1", "x1"), "x2": ("x2", "x2"),
-                "x21": ("x21", "x1"), "x12": ("x12", "x2"),
-            }, left_multiplication=False)
+                "x21": ("x21", "nope"), "x12": ("x12", "x2"),
+            })
 
     def test_union_and_pairing(self):
         uq = union_quiver(sch_quiver(), two_loop_targets())
