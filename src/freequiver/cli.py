@@ -6,7 +6,9 @@ lines) and "machine" (versioned line-delimited JSON records, byte-stable
 for a fixed seed).
 
 Exit codes: 0 all checks passed, 1 a check failed, 2 file/parse/usage
-error, 3 evaluation outside the regularity domain.
+error, 3 evaluation outside the regularity domain (including a block-trick
+evaluation whose diagonal blocks fail to reproduce f(X), which means the
+point is effectively irregular or the map is not free).
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .catalog import (
     smw_quiver,
 )
 from .conformance import TrialPlan, run_conformance
-from .errors import ParseError, RegularityError, TypecheckError
+from .errors import BlockMismatchError, ParseError, RegularityError, TypecheckError
 from .exprs import FreeMapDef, eval_map, render_expr
 from .reps import Rep, random_rep, rep_residual
 from .serialize import parse_definition_file, rep_to_obj
@@ -542,6 +544,9 @@ def main(argv=None) -> int:
         return 2
     except RegularityError as e:
         print(f"regularity error: {e}", file=sys.stderr)
+        return 3
+    except BlockMismatchError as e:
+        print(f"block mismatch: {e}", file=sys.stderr)
         return 3
     if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:

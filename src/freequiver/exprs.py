@@ -342,7 +342,7 @@ class InvDiagnostic:
 
 def _pinv(m: np.ndarray) -> np.ndarray:
     if m.size == 0:
-        return np.zeros((m.shape[1], m.shape[0]), dtype=np.complex128)
+        return np.zeros(m.shape[:-2] + (m.shape[-1], m.shape[-2]), dtype=np.complex128)
     return np.linalg.pinv(m)
 
 
@@ -354,33 +354,45 @@ def eval_expr(
 ) -> np.ndarray:
     """Evaluate e on the representation x.
 
+    x may also be any object with a Rep's dims and mats whose arc matrices
+    are stacked (B, m, n): numpy's products, SVDs and inverses broadcast over
+    the leading axis, so one walk evaluates B points of one dimension profile.
+    Every distinct inverse node is evaluated, tested and factored once per
+    call; repeats reuse that value.
+
     An inverse node is regular when the operand's shape allows the mode
     (square for two_sided, rows >= cols for left, cols >= rows for right) and
     its singular values are empty or satisfy
-    sigma_min > INVERTIBILITY_RTOL * sigma_max. Irregular nodes raise
-    RegularityError (naming the node); with a diagnostics list supplied,
-    failures are recorded instead and a pseudo-inverse stands in so the scan
-    can continue.
+    sigma_min > INVERTIBILITY_RTOL * sigma_max, at every point of a stack.
+    Irregular nodes raise RegularityError (naming the node); with a
+    diagnostics list supplied (single points only), failures are recorded
+    instead and a pseudo-inverse stands in so the scan can continue.
     """
+    return _eval(e, x, entry, diagnostics, None if diagnostics is not None else {})
+
+
+def _eval(e: Expr, x: Rep, entry, diagnostics, memo: dict | None) -> np.ndarray:
+    """eval_expr's walk. memo maps inverse nodes to their values; it is None
+    on the diagnostics path, which records every occurrence of a node."""
     match e:
         case Atom(arc):
             return x.mats[arc]
         case Id(vertex):
             return np.eye(x.dims[vertex], dtype=np.complex128)
         case Add(terms):
-            vals = [eval_expr(t, x, entry, diagnostics) for t in terms]
+            vals = [_eval(t, x, entry, diagnostics, memo) for t in terms]
             return reduce(lambda a, b: a + b, vals)
         case Scale(k, of):
-            return k * eval_expr(of, x, entry, diagnostics)
+            return k * _eval(of, x, entry, diagnostics, memo)
         case Mul(factors):
-            vals = [eval_expr(f, x, entry, diagnostics) for f in factors]
+            vals = [_eval(f, x, entry, diagnostics, memo) for f in factors]
             return reduce(lambda a, b: a @ b, vals)
         case Inv(of, mode):
-            m = eval_expr(of, x, entry, diagnostics)
+            if memo is not None and e in memo:
+                return memo[e]
+            m = _eval(of, x, entry, diagnostics, memo)
             s = singular_values(m)
-            smin = float(s[-1]) if s.size else 0.0
-            smax = float(s[0]) if s.size else 0.0
-            rows, cols = m.shape
+            rows, cols = m.shape[-2:]
             if mode == "two_sided":
                 shape_ok = rows == cols
                 reason = (
@@ -394,12 +406,17 @@ def eval_expr(
             else:
                 shape_ok = cols >= rows
                 reason = "no right inverse: operand lacks full row rank"
-            ok = shape_ok and (s.size == 0 or smin > INVERTIBILITY_RTOL * smax)
+            if s.size:
+                smin, smax = s[..., -1], s[..., 0]
+                ok = shape_ok & (smin > INVERTIBILITY_RTOL * smax)
+            else:
+                smin = smax = 0.0
+                ok = shape_ok
             if diagnostics is not None:
                 diagnostics.append(
-                    InvDiagnostic(entry, render_expr(e), mode, smin, smax, ok)
+                    InvDiagnostic(entry, render_expr(e), mode, float(smin), float(smax), bool(ok))
                 )
-            if not ok:
+            if not np.all(ok):
                 if diagnostics is not None:
                     return _pinv(m)
                 raise RegularityError(
@@ -408,11 +425,15 @@ def eval_expr(
                     node=render_expr(e),
                     entry=entry,
                 )
-            if mode == "two_sided":
-                if m.shape[0] == 0:
-                    return m.copy()
-                return np.linalg.inv(m)
-            return _pinv(m)
+            if mode != "two_sided":
+                value = _pinv(m)
+            elif rows == 0:
+                value = m.copy()
+            else:
+                value = np.linalg.inv(m)
+            if memo is not None:
+                memo[e] = value
+            return value
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -493,10 +514,17 @@ def eval_map(f: FreeMapDef, x: Rep) -> Rep:
     if x.quiver != f.source_quiver:
         raise ValueError("representation is over a different quiver than the map's source")
     dims = {v: x.dims[f.vertex_map[v]] for v in f.target_quiver.vertices}
-    mats = {
-        r: eval_expr(e, x, entry=r) for r, e in f.entries.items()
-    }
-    return Rep(f.target_quiver, dims, mats)
+    return Rep(f.target_quiver, dims, eval_entries(f, x))
+
+
+def eval_entries(
+    f: FreeMapDef, x: Rep, diagnostics: list[InvDiagnostic] | None = None
+) -> dict[str, np.ndarray]:
+    """Every entry of f on x (a Rep, or stacked points as eval_expr takes),
+    in entry order. The entries share one memo, so an inverse node that
+    occurs in several of them is factored once."""
+    memo = None if diagnostics is not None else {}
+    return {r: _eval(e, x, r, diagnostics, memo) for r, e in f.entries.items()}
 
 
 def apply_map(f: MapLike, x: Rep) -> Rep:
@@ -513,8 +541,7 @@ def is_regular(
     cover every inverse node visited (pseudo-inverses stand in after a
     failure so later nodes still get scanned)."""
     diags: list[InvDiagnostic] = []
-    for r, e in f.entries.items():
-        eval_expr(e, x, entry=r, diagnostics=diags)
+    eval_entries(f, x, diags)
     return all(d.ok for d in diags), diags
 
 

@@ -38,6 +38,15 @@ def op_norm(m) -> float:
     return float(np.linalg.norm(a, 2))
 
 
+def op_norms(m) -> np.ndarray:
+    """Operator 2-norms of matrices stacked (..., rows, cols); 0.0 where an
+    axis is empty."""
+    a = np.asarray(m)
+    if a.shape[-2] == 0 or a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2])
+    return np.linalg.norm(a, 2, axis=(-2, -1))
+
+
 def frob_norm(m) -> float:
     a = np.asarray(m)
     if a.size == 0:

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from freequiver import calculus, catalog
 from freequiver.calculus import (
     DirectionField,
     block_extend,
@@ -15,6 +16,7 @@ from freequiver.calculus import (
     direction_norm,
     direction_residual,
     direction_scale,
+    direction_slots,
     directional_derivative,
     fd_errors,
     finite_difference,
@@ -32,6 +34,7 @@ from freequiver.calculus import (
     unflatten_direction,
     zero_direction,
 )
+from freequiver.errors import BlockMismatchError, RegularityError
 from freequiver.exprs import (
     Atom,
     FreeMapDef,
@@ -324,6 +327,93 @@ class TestDerivativeMatrix:
                     m = big.dims[dst] // 2
                     n = big.dims[src] // 2
                     assert np.linalg.norm(whole[:m, n:], 2) <= 1e-7
+
+
+CATALOG_MAPS = {
+    "schur": catalog.schur_map,
+    "ppt_D": lambda: catalog.ppt_map("pivot_D"),
+    "ppt_A": lambda: catalog.ppt_map("pivot_A"),
+    "block_inverse": catalog.block_inverse_map,
+    "smw_lhs": catalog.smw_lhs_map,
+    "smw_rhs": catalog.smw_rhs_map,
+    "rational_triple": catalog.rational_triple_map,
+    "sandwich_rational": catalog.sandwich_rational_map,
+    "cbh": catalog.cbh_truncated,
+    "intertwine_demo": catalog.intertwine_demo_map,
+    "random_poly": lambda: random_polynomial_map(sch_quiver(), sch_quiver(), 77, max_degree=3),
+}
+
+# (first vertex, second vertex): one side empty, both empty, 25 columns (under
+# one chunk) and 100 columns (not a multiple of the chunk) on the block quivers
+DIM_PROFILES = [(3, 0), (0, 2), (0, 0), (3, 2), (6, 4)]
+
+
+def column_by_column(f, x):
+    """Reference Jacobian: one directional derivative per matrix unit."""
+    cols = [
+        flatten_direction(directional_derivative(f, x, matrix_unit_direction(x, arc, i, j)))
+        for arc, rows, ncols, _ in direction_slots(x)
+        for i in range(rows)
+        for j in range(ncols)
+    ]
+    n_rows = len(flatten_direction(zero_direction(eval_map(f, x))))
+    return np.stack(cols, axis=1) if cols else np.zeros((n_rows, 0), dtype=np.complex128)
+
+
+class TestStackedJacobian:
+    @pytest.mark.parametrize("name", sorted(CATALOG_MAPS))
+    @pytest.mark.parametrize("nu, nv", DIM_PROFILES)
+    def test_matches_column_by_column(self, name, nu, nv):
+        f = CATALOG_MAPS[name]()
+        vs = f.source_quiver.vertices
+        dims = {vs[0]: nu} if len(vs) == 1 else {vs[0]: nu, vs[1]: nv}
+        x = random_rep(f.source_quiver, dims, 50 + nu + nv)
+        dm = derivative_matrix(f, x)
+        assert np.array_equal(dm.matrix, column_by_column(f, x))
+
+    def test_singular_point_names_the_inverse(self):
+        f = catalog.schur_map()
+        x = random_sch(51)
+        x.mats["x2"][:] = 0
+        for fn in (derivative_matrix, ift_certificate):
+            with pytest.raises(RegularityError) as err:
+                fn(f, x)
+            assert err.value.node == "x2^-1"
+
+    def test_irregular_block_point_named_as_column_by_column(self):
+        # y^-1 precedes x^-1 in traversal, but the first column moves x:
+        # the block points [[aI, E], [0, aI]] have sigma ratio ~a^2, so every
+        # column fails at the inverse of the arc it moves
+        q = classical_embed(2)
+        f = FreeMapDef(q, q, {"x": inv(Atom("y")), "y": inv(Atom("x"))})
+        x = Rep(q, {"u": 2}, {"x": 1e-6 * np.eye(2), "y": 1e-6 * np.eye(2)})
+        eval_map(f, x)
+        with pytest.raises(RegularityError) as stacked:
+            derivative_matrix(f, x)
+        with pytest.raises(RegularityError) as first:
+            directional_derivative(f, x, matrix_unit_direction(x, "x", 0, 0))
+        assert str(stacked.value) == str(first.value)
+        assert stacked.value.node == "x^-1"
+
+    def test_block_check_is_live_per_column(self, monkeypatch):
+        f = catalog.ppt_map("pivot_D")
+        x = random_sch(52)
+        monkeypatch.setattr(calculus, "BLOCK_TOL", -1.0)
+        with pytest.raises(BlockMismatchError) as stacked:
+            derivative_matrix(f, x)
+        with pytest.raises(BlockMismatchError) as first:
+            directional_derivative(f, x, matrix_unit_direction(x, "x1", 0, 0))
+        assert str(stacked.value) == str(first.value)
+
+    def test_fd_errors_match_one_eps_at_a_time(self):
+        f = worked_map()
+        x = random_sch(54)
+        h = random_direction(x, 55)
+        eps = [1e-2, 1e-3, 1e-4, 1e-5]
+        dd = directional_derivative(f, x, h)
+        one_at_a_time = [direction_residual(dd, finite_difference(f, x, h, e)) for e in eps]
+        assert fd_errors(f, x, h, eps) == one_at_a_time
+        assert fd_errors(f, x, h, []) == []
 
 
 class TestIFTCertificate:

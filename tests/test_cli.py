@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from freequiver import calculus
 from freequiver.catalog import (
     block_inverse_map,
     ppt_map,
@@ -280,6 +281,15 @@ class TestExitCodes:
         dump(Rep(x.quiver, dict(x.dims), mats), p)
         assert main(["eval", "--map", schur_file, "--rep", str(p)]) == 3
         assert "regularity" in capsys.readouterr().err
+
+    def test_block_mismatch_exits_3(self, schur_file, capsys, monkeypatch):
+        monkeypatch.setattr(calculus, "BLOCK_TOL", -1.0)
+        code = main(["certify", "--map", schur_file, "--dims", "u=3,v=2",
+                     "--seed", "1"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("block mismatch:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
     def test_unknown_demo_exits_2(self, capsys):
         assert main(["demo", "laplace"]) == 2

@@ -2,12 +2,16 @@
 monomial decomposition, products."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from freequiver import exprs
+from freequiver.catalog import block_inverse_map, ppt_map
+from freequiver.catalog import schur_map as catalog_schur_map
 from freequiver.errors import RegularityError, TypecheckError
 from freequiver.exprs import (
     Add,
@@ -367,6 +371,86 @@ class TestRegularity:
             assert is_regular(f, x)[0]
             assert is_regular(f, y)[0]
             assert is_regular(f, direct_sum(x, y))[0]
+
+
+def inverse_occurrences(e):
+    """Inverse nodes of e in evaluation order: operands before the node."""
+    if isinstance(e, Inv):
+        return inverse_occurrences(e.of) + [e]
+    if isinstance(e, (Add, Mul)):
+        kids = e.terms if isinstance(e, Add) else e.factors
+        return [n for k in kids for n in inverse_occurrences(k)]
+    if isinstance(e, Scale):
+        return inverse_occurrences(e.of)
+    return []
+
+
+def with_zero_arc(x, arc):
+    mats = dict(x.mats)
+    mats[arc] = np.zeros_like(mats[arc])
+    return Rep(x.quiver, x.dims, mats)
+
+
+class TestInverseNodeSharing:
+    def test_diagnostics_cover_every_occurrence(self):
+        f = block_inverse_map()
+        ok, diags = is_regular(f, random_sch(41))
+        want = [
+            (r, render_expr(n)) for r, e in f.entries.items() for n in inverse_occurrences(e)
+        ]
+        assert ok and len(want) == 13
+        assert [(d.entry, d.node) for d in diags] == want
+        by_node = {}
+        for d in diags:
+            by_node.setdefault(d.node, set()).add((d.sigma_min, d.sigma_max, d.ok))
+        assert len(by_node) == 2 and all(len(v) == 1 for v in by_node.values())
+
+    def test_each_distinct_inverse_node_factored_once(self, monkeypatch):
+        calls = {"svd": 0, "inv": 0}
+        svd, inverse = exprs.singular_values, np.linalg.inv
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        x = random_sch(42)
+        before = eval_map(block_inverse_map(), x).mats
+        monkeypatch.setattr(exprs, "singular_values", counted("svd", svd))
+        monkeypatch.setattr(np.linalg, "inv", counted("inv", inverse))
+        after = eval_map(block_inverse_map(), x).mats
+        # x1^-1 and (x2 - x21 x1^-1 x12)^-1, over all four entries
+        assert calls == {"svd": 2, "inv": 2}
+        assert all(np.array_equal(before[r], after[r]) for r in before)
+
+    def test_stacked_points_match_single_points(self):
+        f = block_inverse_map()
+        points = [random_sch(43 + i) for i in range(3)]
+        stack = SimpleNamespace(
+            dims=dict(points[0].dims),
+            mats={a: np.stack([p.mats[a] for p in points]) for a in points[0].mats},
+        )
+        for r, e in f.entries.items():
+            got = eval_expr(e, stack)
+            assert got.shape[0] == 3
+            for b, p in enumerate(points):
+                assert np.array_equal(got[b], eval_expr(e, p))
+        stack.mats["x1"][1] = 0
+        with pytest.raises(RegularityError, match=r"x1\^-1"):
+            eval_expr(f.entries["x1"], stack)
+
+    @pytest.mark.parametrize("make, arc, message", [
+        (catalog_schur_map, "x2", "operand numerically singular at x2^-1 (entry 'x')"),
+        (block_inverse_map, "x1", "operand numerically singular at x1^-1 (entry 'x1')"),
+        (lambda: ppt_map("pivot_D"), "x2", "operand numerically singular at x2^-1 (entry 'x1')"),
+    ])
+    def test_singular_point_message(self, make, arc, message):
+        x = with_zero_arc(random_rep(sch_quiver(), {"u": 3, "v": 2}, 4), arc)
+        with pytest.raises(RegularityError) as err:
+            eval_map(make(), x)
+        assert str(err.value) == message
+        assert err.value.node == message.split(" at ")[1].split(" ")[0]
 
 
 class TestFreeMapDef:
