@@ -14,8 +14,7 @@ Block points of one base point share a dimension profile, so they are
 evaluated as one stack: the derivative matrix takes its matrix-unit
 columns in chunks of _CHUNK, each chunk one stacked evaluation of all
 entries in which every distinct inverse node is factored once, and a single
-directional derivative is the stack of one. The finite-difference oracle
-evaluates its shifted points the same way.
+directional derivative is the stack of one.
 """
 
 from __future__ import annotations
@@ -42,9 +41,9 @@ from .exprs import (
 from .numerics import (
     as_complex_matrix,
     frob_norm,
-    op_norm,
     op_norms,
     rel_diff,
+    rel_residual,
 )
 from .reps import NatTrans, Rep, direct_sum, rep_distance
 
@@ -172,10 +171,14 @@ def mixed_block_rep(x: Rep, y: Rep, u_mats: dict[str, np.ndarray]) -> Rep:
     return z
 
 
-def block_extend(x: Rep, h: DirectionField) -> Rep:
-    """The derivative's block point: arc a -> [[X(a), H(a)], [0, X(a)]]."""
+def _check_based_at(x: Rep, h: DirectionField) -> None:
     if h.base is not x and (h.base.quiver != x.quiver or h.base.dims != x.dims):
         raise ValueError("direction is based at a different point")
+
+
+def block_extend(x: Rep, h: DirectionField) -> Rep:
+    """The derivative's block point: arc a -> [[X(a), H(a)], [0, X(a)]]."""
+    _check_based_at(x, h)
     return mixed_block_rep(x, x, h.h_mats)
 
 
@@ -185,13 +188,6 @@ class _Points(NamedTuple):
 
     dims: dict[str, int]
     mats: dict[str, np.ndarray]
-
-
-def _eval_points(f: FreeMapDef, points: _Points, batch: int) -> dict[str, np.ndarray]:
-    """Every entry of f at the B stacked points, each (B, rows, cols) (an
-    entry that reads no arc evaluates to one matrix, repeated here)."""
-    vals = eval_entries(f, points)
-    return {r: v if v.ndim == 3 else np.repeat(v[None], batch, axis=0) for r, v in vals.items()}
 
 
 def _block_derivatives(
@@ -216,7 +212,7 @@ def _block_derivatives(
         z[:, :rows, cols:] = u[a]
         mats[a] = z
     try:
-        big = _eval_points(f, _Points({v: 2 * n for v, n in x.dims.items()}, mats), batch)
+        big = eval_entries(f, _Points({v: 2 * n for v, n in x.dims.items()}, mats))
     except RegularityError:
         if batch > 1:
             for b in range(batch):
@@ -227,16 +223,13 @@ def _block_derivatives(
     for a in f.target_quiver.arcs:
         m, n = fx.dims[a.dst], fx.dims[a.src]
         z = big[a.name]
+        if z.ndim == 2:  # an entry that reads no arc: one matrix for the stack
+            z = np.repeat(z[None], batch, axis=0)
         tl, bl, br = z[:, :m, :n], z[:, m:, :n], z[:, m:, n:]
         base = fx.mats[a.name]
-        nbase = op_norm(base)
-        # rel_diff(tl, base), rel_diff(br, base) and ‖bl‖/(1+‖z‖), maxed in
-        # that order with Python's max semantics
-        w = op_norms(tl - base) / (1.0 + op_norms(tl) * nbase)
-        for r in (
-            op_norms(br - base) / (1.0 + op_norms(br) * nbase),
-            op_norms(bl) / (1.0 + op_norms(z)),
-        ):
+        # the single-point residuals, maxed in order as Python's max does
+        w = rel_diff(tl, base)
+        for r in (rel_diff(br, base), rel_residual(op_norms(bl), z)):
             w = np.where(r > w, r, w)
         worst.append(w)
         out[a.name] = z[:, :m, n:]
@@ -263,8 +256,7 @@ def directional_derivative(
     reproduce f(X) and the lower-left to vanish (anything else means the map
     is not free or the point is effectively irregular)."""
     fx = eval_map(f, x)
-    if h.base is not x and (h.base.quiver != x.quiver or h.base.dims != x.dims):
-        raise ValueError("direction is based at a different point")
+    _check_based_at(x, h)
     tr = _block_derivatives(f, x, fx, {a: m[None] for a, m in h.h_mats.items()})
     return DirectionField(fx, {a: m[0] for a, m in tr.items()})
 
@@ -277,41 +269,24 @@ def shift_rep(x: Rep, h: DirectionField, eps: float) -> Rep:
     )
 
 
-def _difference_quotients(
-    f: FreeMapDef, x: Rep, h: DirectionField, eps_list: list[float]
-) -> list[DirectionField]:
-    """(f(X + eps H) - f(X)) / eps per eps, from one evaluation of f(X) and
-    one stacked evaluation of the shifted points."""
-    fx = eval_map(f, x)
-    if not eps_list:
-        return []
-    shifted = {
-        a: np.stack([x.mats[a] + eps * h.h_mats[a] for eps in eps_list]) for a in x.mats
-    }
-    try:
-        fs = _eval_points(f, _Points(dict(x.dims), shifted), len(eps_list))
-    except RegularityError:
-        for eps in eps_list:  # name the first shifted point that fails
-            eval_map(f, shift_rep(x, h, eps))
-        raise
-    return [
-        DirectionField(fx, {a: (fs[a][b] - fx.mats[a]) / eps for a in fx.mats})
-        for b, eps in enumerate(eps_list)
-    ]
-
-
 def finite_difference(
     f: FreeMapDef, x: Rep, h: DirectionField, eps: float
 ) -> DirectionField:
     """(f(X + eps H) - f(X)) / eps, the first-order oracle for Df(X)[H]."""
-    return _difference_quotients(f, x, h, [eps])[0]
+    fx = eval_map(f, x)
+    fs = eval_map(f, shift_rep(x, h, eps))
+    return DirectionField(
+        fx, {a: (fs.mats[a] - fx.mats[a]) / eps for a in fx.mats}
+    )
 
 
 def fd_errors(
     f: FreeMapDef, x: Rep, h: DirectionField, eps_list: list[float]
 ) -> list[float]:
     dd = directional_derivative(f, x, h)
-    return [direction_residual(dd, fd) for fd in _difference_quotients(f, x, h, eps_list)]
+    return [
+        direction_residual(dd, finite_difference(f, x, h, eps)) for eps in eps_list
+    ]
 
 
 def observed_order(

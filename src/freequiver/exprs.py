@@ -522,9 +522,15 @@ def eval_entries(
 ) -> dict[str, np.ndarray]:
     """Every entry of f on x (a Rep, or stacked points as eval_expr takes),
     in entry order. The entries share one memo, so an inverse node that
-    occurs in several of them is factored once."""
+    occurs in several of them is factored once; an entry whose value is
+    already another entry's array (a repeated inverse node, a repeated arc)
+    gets a copy, so no two entries share storage."""
     memo = None if diagnostics is not None else {}
-    return {r: _eval(e, x, r, diagnostics, memo) for r, e in f.entries.items()}
+    vals: dict[str, np.ndarray] = {}
+    for r, e in f.entries.items():
+        v = _eval(e, x, r, diagnostics, memo)
+        vals[r] = v.copy() if any(v is w for w in vals.values()) else v
+    return vals
 
 
 def apply_map(f: MapLike, x: Rep) -> Rep:

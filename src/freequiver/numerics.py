@@ -32,10 +32,7 @@ def as_complex_matrix(m) -> np.ndarray:
 
 def op_norm(m) -> float:
     """Operator 2-norm; 0.0 for matrices with an empty axis."""
-    a = np.asarray(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a, 2))
+    return float(op_norms(m))
 
 
 def op_norms(m) -> np.ndarray:
@@ -54,22 +51,25 @@ def frob_norm(m) -> float:
     return float(np.linalg.norm(a))
 
 
-def rel_residual(raw: float, *operands) -> float:
-    """raw / (1 + product of operand 2-norms)."""
+def rel_residual(raw, *operands):
+    """raw / (1 + product of operand 2-norms). Matrix operands may be stacked
+    (..., rows, cols), with raw one value per matrix; the residuals then come
+    back as an array, one per matrix."""
     denom = 1.0
     for m in operands:
-        denom_factor = op_norm(m) if not np.isscalar(m) else abs(m)
-        denom *= denom_factor
-    return float(raw) / (1.0 + denom)
+        denom = denom * (abs(m) if np.isscalar(m) else op_norms(m))
+    out = np.asarray(raw, dtype=np.float64) / (1.0 + denom)
+    return float(out) if out.ndim == 0 else out
 
 
-def rel_diff(a, b) -> float:
-    """Relative difference ‖a−b‖₂ / (1 + ‖a‖₂·‖b‖₂) between two matrices."""
+def rel_diff(a, b):
+    """Relative difference ‖a−b‖₂ / (1 + ‖a‖₂·‖b‖₂) between two matrices, or
+    per matrix between stacks (..., rows, cols) that broadcast together."""
     a = np.asarray(a)
     b = np.asarray(b)
-    if a.shape != b.shape:
+    if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return rel_residual(op_norm(a - b), a, b)
+    return rel_residual(op_norms(a - b), a, b)
 
 
 def singular_values(m) -> np.ndarray:

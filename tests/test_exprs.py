@@ -440,6 +440,18 @@ class TestInverseNodeSharing:
         with pytest.raises(RegularityError, match=r"x1\^-1"):
             eval_expr(f.entries["x1"], stack)
 
+    def test_entries_never_share_storage(self):
+        t = Quiver(("w",), (Arc("a", "w", "w"), Arc("b", "w", "w"), Arc("c", "w", "w")))
+        f = FreeMapDef(sch_quiver(), t, {
+            "a": inv(Atom("x1")), "b": inv(Atom("x1")), "c": Atom("x1"),
+        }, {"w": "u"})
+        x = random_sch(47)
+        image = eval_map(f, x).mats
+        assert np.array_equal(image["a"], image["b"])
+        assert image["a"] is not image["b"]
+        image["a"][0, 0] += 1.0
+        assert not np.array_equal(image["a"], image["b"])
+
     @pytest.mark.parametrize("make, arc, message", [
         (catalog_schur_map, "x2", "operand numerically singular at x2^-1 (entry 'x')"),
         (block_inverse_map, "x1", "operand numerically singular at x1^-1 (entry 'x1')"),
