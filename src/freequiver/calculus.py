@@ -15,6 +15,13 @@ evaluated as one stack: the derivative matrix takes its matrix-unit
 columns in chunks of _CHUNK, each chunk one stacked evaluation of all
 entries in which every distinct inverse node is factored once, and a single
 directional derivative is the stack of one.
+
+Every block point must also reproduce f(X) on its diagonal blocks and vanish
+on its lower-left block. Since ‖A‖₂ ≤ ‖A‖_F, Frobenius norms and ‖f(X)‖₂
+(taken once per call) bound those residuals from above; a point whose bounds
+sit well inside BLOCK_TOL passes without a singular value decomposition, and
+only the points that could fail take the exact 2-norm residuals. The verdicts
+and error messages are those of the exact residuals alone.
 """
 
 from __future__ import annotations
@@ -41,6 +48,8 @@ from .exprs import (
 from .numerics import (
     as_complex_matrix,
     frob_norm,
+    frob_norms,
+    op_norm,
     op_norms,
     rel_diff,
     rel_residual,
@@ -54,6 +63,10 @@ IFT_TOL = 1e-8
 # numpy allocations peak at ~30 MB in one chunk and ~5.5 MB in chunks of 32,
 # and no size tried between 8 and 400 was consistently faster than 32.
 _CHUNK = 32
+# A block point passes its block checks on Frobenius bounds alone when every
+# bound is at most this share of BLOCK_TOL (see _screen_bounds); the rest of
+# the share absorbs rounding in the Frobenius and the 2-norms.
+_SCREEN = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -190,17 +203,57 @@ class _Points(NamedTuple):
     mats: dict[str, np.ndarray]
 
 
+def _image_norms(fx: Rep) -> dict[str, float]:
+    """‖f(X)‖₂ per target arc, for the block-check screen; NaN where f(X) is
+    not finite, so that every block point there takes the exact checks."""
+    return {
+        a: op_norm(m) if np.isfinite(m).all() else math.nan
+        for a, m in fx.mats.items()
+    }
+
+
+def _screen_bounds(
+    base: np.ndarray, s: float, tl: np.ndarray, br: np.ndarray, bl: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Upper bounds, per matrix of the stacks, on the three block residuals
+    rel_diff(tl, base), rel_diff(br, base) and rel_residual(‖bl‖₂, big) of
+    the block points big = [[tl, *], [bl, br]], from Frobenius norms and
+    s = ‖base‖₂ alone.
+
+    With d = ‖tl − base‖_F ≥ ‖tl − base‖₂, the reverse triangle inequality
+    gives ‖tl‖₂ ≥ s − d, and ‖big‖₂ is at least ‖tl‖₂ and ‖br‖₂. The lower
+    bounds take s/2 − d in place of s − d: when d is close to s, s − d is
+    a rounding residue that can exceed the true difference, while s/2 − d
+    stays below it however the two norms round."""
+    d1 = frob_norms(tl - base)
+    d2 = frob_norms(br - base)
+    lo1 = np.maximum(s / 2 - d1, 0.0)
+    lo2 = np.maximum(s / 2 - d2, 0.0)
+    return (
+        d1 / (1.0 + s * lo1),
+        d2 / (1.0 + s * lo2),
+        frob_norms(bl) / (1.0 + np.maximum(lo1, lo2)),
+    )
+
+
 def _block_derivatives(
-    f: FreeMapDef, x: Rep, fx: Rep, u: dict[str, np.ndarray]
+    f: FreeMapDef,
+    x: Rep,
+    fx: Rep,
+    fx_norms: dict[str, float],
+    u: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Df(X)[H_b] per target arc, stacked (B, rows, cols), for the directions
     u (arc -> (B, rows, cols)), read off one stacked evaluation at the block
-    points [[X, H_b], [0, X]].
+    points [[X, H_b], [0, X]]; fx_norms is _image_norms(fx).
 
     Each point is held to the single-point checks: every inverse node's
     threshold on its doubled operand, and diagonal blocks that reproduce f(X)
-    with a vanishing lower-left block (BlockMismatchError otherwise). Errors
-    name the first direction that fails, as taking them one at a time would.
+    with a vanishing lower-left block (BlockMismatchError otherwise). A point
+    whose _screen_bounds are all within _SCREEN·BLOCK_TOL passes the latter
+    without a singular value decomposition; every other point (non-finite
+    ones included) takes the exact 2-norm residuals. Errors name the first
+    direction that fails, as taking them one at a time would.
     """
     batch = len(next(iter(u.values()))) if u else 1
     mats = {}
@@ -216,7 +269,9 @@ def _block_derivatives(
     except RegularityError:
         if batch > 1:
             for b in range(batch):
-                _block_derivatives(f, x, fx, {a: m[b:b + 1] for a, m in u.items()})
+                _block_derivatives(
+                    f, x, fx, fx_norms, {a: m[b:b + 1] for a, m in u.items()}
+                )
         raise
     out = {}
     worst = []
@@ -227,10 +282,19 @@ def _block_derivatives(
             z = np.repeat(z[None], batch, axis=0)
         tl, bl, br = z[:, :m, :n], z[:, m:, :n], z[:, m:, n:]
         base = fx.mats[a.name]
-        # the single-point residuals, maxed in order as Python's max does
-        w = rel_diff(tl, base)
-        for r in (rel_diff(br, base), rel_residual(op_norms(bl), z)):
-            w = np.where(r > w, r, w)
+        bounds = _screen_bounds(base, fx_norms[a.name], tl, br, bl)
+        doubt = ~np.all([b <= _SCREEN * BLOCK_TOL for b in bounds], axis=0)
+        w = np.zeros(batch)  # a screened point's residuals are within BLOCK_TOL
+        if doubt.any():
+            zd = z[doubt]
+            # the single-point residuals, maxed in order as Python's max does
+            wd = rel_diff(zd[:, :m, :n], base)
+            for r in (
+                rel_diff(zd[:, m:, n:], base),
+                rel_residual(op_norms(zd[:, m:, :n]), zd),
+            ):
+                wd = np.where(r > wd, r, wd)
+            w[doubt] = wd
         worst.append(w)
         out[a.name] = z[:, :m, n:]
     bad = np.array(worst).reshape(len(worst), batch) > BLOCK_TOL
@@ -257,7 +321,9 @@ def directional_derivative(
     is not free or the point is effectively irregular)."""
     fx = eval_map(f, x)
     _check_based_at(x, h)
-    tr = _block_derivatives(f, x, fx, {a: m[None] for a, m in h.h_mats.items()})
+    tr = _block_derivatives(
+        f, x, fx, _image_norms(fx), {a: m[None] for a, m in h.h_mats.items()}
+    )
     return DirectionField(fx, {a: m[0] for a, m in tr.items()})
 
 
@@ -336,6 +402,7 @@ def derivative_matrix(
     checks as directional_derivative, and the matrix is the one that column
     by column evaluation gives."""
     fx = eval_map(f, x)
+    fx_norms = _image_norms(fx)
     col_index = _index_table(x)
     row_index = _index_table(fx)
     matrix = np.zeros((len(row_index), len(col_index)), dtype=np.complex128)
@@ -349,7 +416,7 @@ def derivative_matrix(
             arc: units[:, offset:offset + rows * cols].reshape(batch, rows, cols)
             for arc, rows, cols, offset in slots
         }
-        tr = _block_derivatives(f, x, fx, u)
+        tr = _block_derivatives(f, x, fx, fx_norms, u)
         if row_index:
             matrix[:, start:stop] = np.concatenate(
                 [tr[a].reshape(batch, rows * cols) for a, rows, cols, _ in image_slots],

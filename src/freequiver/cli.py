@@ -549,8 +549,12 @@ def main(argv=None) -> int:
         print(f"block mismatch: {e}", file=sys.stderr)
         return 3
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            print(f"error: cannot write {args.out}: {e}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(text)
     return code

@@ -5,8 +5,9 @@ funnels its tolerance decisions through this module so the conventions stay in
 one place:
 
 * scalars are complex128 throughout;
-* pass/fail norms are operator 2-norms (largest singular value); Frobenius
-  norms are used only inside residual assembly where noted;
+* pass/fail norms are operator 2-norms (largest singular value). Since
+  ‖A‖₂ ≤ ‖A‖_F, a Frobenius bound may pass a residual; any residual that
+  could fail is decided by 2-norms;
 * residuals are relative: raw / (1 + product of operand norms);
 * a square matrix counts as invertible iff sigma_min > 1e-10 * sigma_max;
 * numerical nullspaces keep singular vectors with
@@ -45,10 +46,23 @@ def op_norms(m) -> np.ndarray:
 
 
 def frob_norm(m) -> float:
+    """Frobenius norm; 0.0 for matrices with an empty axis."""
+    return float(frob_norms(m))
+
+
+def frob_norms(m) -> np.ndarray:
+    """Frobenius norms of matrices stacked (..., rows, cols); 0.0 where an
+    axis is empty. Each matrix is scaled by the power of two at its largest
+    modulus, which rounds nothing, so its squares neither overflow nor
+    underflow."""
     a = np.asarray(m)
-    if a.size == 0:
-        return 0.0
-    return float(np.linalg.norm(a))
+    if a.shape[-2] == 0 or a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2])
+    _, e = np.frexp(np.abs(a).max(axis=(-2, -1)))
+    scaled = a * np.ldexp(1.0, -e)[..., None, None]
+    if a.ndim == 2:  # numpy's one-matrix sum, the bits frob_norm always gave
+        return np.ldexp(np.linalg.norm(scaled), e)
+    return np.ldexp(np.linalg.norm(scaled, axis=(-2, -1)), e)
 
 
 def rel_residual(raw, *operands):

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from freequiver import calculus, catalog
 from freequiver.calculus import (
@@ -42,13 +44,21 @@ from freequiver.exprs import (
     add,
     eval_map,
     identity_map,
+    is_regular,
     inv,
     mul,
     random_polynomial_map,
     scale,
     sub,
 )
-from freequiver.numerics import op_norm, op_norms, rel_diff, rel_residual
+from freequiver.numerics import (
+    frob_norm,
+    frob_norms,
+    op_norm,
+    op_norms,
+    rel_diff,
+    rel_residual,
+)
 from freequiver.quivers import Arc, Quiver, classical_embed, enumerate_paths
 from freequiver.reps import (
     NatTrans,
@@ -416,6 +426,180 @@ class TestStackedJacobian:
         with pytest.raises(BlockMismatchError) as first:
             directional_derivative(f, x, matrix_unit_direction(x, "x1", 0, 0))
         assert str(stacked.value) == str(first.value)
+
+    def test_unscreened_columns_decided_as_column_by_column(self, monkeypatch):
+        # BLOCK_TOL is set around the exact per-column residuals, taken here
+        # from single block points, where the screen (at half the tolerance)
+        # passes no column. A matrix-unit block point differs from X ⊕ X only
+        # in blocks that multiply exact zeros, so the columns often share one
+        # residual: just below the median, at least half of them fail.
+        f = catalog.block_inverse_map()
+        x = random_sch(54)
+        fx = eval_map(f, x)
+        residuals = []
+        for arc, rows, cols, _ in direction_slots(x):
+            for i in range(rows):
+                for j in range(cols):
+                    h = matrix_unit_direction(x, arc, i, j)
+                    big = eval_map(f, block_extend(x, h))
+                    worst = 0.0
+                    for a in f.target_quiver.arcs:
+                        m, n = fx.dims[a.dst], fx.dims[a.src]
+                        z, base = big.mats[a.name], fx.mats[a.name]
+                        worst = max(
+                            worst,
+                            rel_diff(z[:m, :n], base),
+                            rel_diff(z[m:, n:], base),
+                            rel_residual(op_norm(z[m:, :n]), z),
+                        )
+                    residuals.append((h, worst))
+        values = [r for _, r in residuals]
+        assert min(values) > 0
+        want = derivative_matrix(f, x).matrix
+        monkeypatch.setattr(calculus, "BLOCK_TOL", max(values))
+        assert np.array_equal(derivative_matrix(f, x).matrix, want)
+        tol = float(np.nextafter(np.median(values), 0.0))
+        monkeypatch.setattr(calculus, "BLOCK_TOL", tol)
+        first = next(h for h, r in residuals if r > tol)
+        with pytest.raises(BlockMismatchError) as stacked:
+            derivative_matrix(f, x)
+        with pytest.raises(BlockMismatchError) as single:
+            directional_derivative(f, x, first)
+        assert str(stacked.value) == str(single.value)
+
+    def test_overflowing_point_raises_linalg_error(self):
+        # x^3 at 1e120 overflows to inf: no column can pass the screen, and
+        # the exact 2-norms refuse the non-finite blocks
+        q = loop_quiver()
+        f = FreeMapDef(q, q, {"x": mul(Atom("x"), Atom("x"), Atom("x"))})
+        x = Rep(q, {"u": 3}, {"x": 1e120 * np.ones((3, 3))})
+        with np.errstate(all="ignore"):
+            with pytest.raises(np.linalg.LinAlgError):
+                derivative_matrix(f, x)
+            with pytest.raises(np.linalg.LinAlgError):
+                directional_derivative(f, x, random_direction(x, 1))
+
+    def test_non_finite_image_keeps_the_error_order(self):
+        # f(X) holds NaNs, and the doubled y-operand is irregular along
+        # directions that move y: the first column (moving x) reaches the
+        # exact checks, which refuse the NaNs, while a direction moving y
+        # fails the inverse node first
+        q = two_loop()
+        f = FreeMapDef(q, q, {
+            "x": mul(Atom("x"), Atom("x"), Atom("x")), "y": inv(Atom("y")),
+        })
+        x = Rep(q, {"u": 2}, {"x": 1e200 * np.ones((2, 2)), "y": 1e-6 * np.eye(2)})
+        with np.errstate(all="ignore"):
+            assert np.isnan(eval_map(f, x).mats["x"]).all()
+            with pytest.raises(np.linalg.LinAlgError):
+                derivative_matrix(f, x)
+            with pytest.raises(RegularityError) as err:
+                directional_derivative(f, x, random_direction(x, 1))
+        assert err.value.node == "y^-1"
+
+
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+class TestBlockCheckScreen:
+    def test_frob_norms_scale_free(self):
+        rng = np.random.default_rng(55)
+        stack = _cplx(rng, 3, 4, 2)
+        norms = frob_norms(stack)
+        for b in range(3):
+            assert norms[b] == pytest.approx(frob_norm(stack[b]), rel=1e-15)
+        for size in (1e-170, 1e170):
+            assert frob_norms(size * stack) == pytest.approx(size * norms, rel=1e-15)
+        assert list(frob_norms(np.zeros((2, 0, 3)))) == [0.0, 0.0]
+        assert frob_norm(np.zeros((3, 0))) == 0.0
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(0, 4),
+        cols=st.integers(0, 4),
+        batch=st.integers(1, 3),
+        scale_exp=st.one_of(st.sampled_from([-150, 0, 150]), st.integers(-150, 150)),
+        rank_one=st.booleans(),
+        blocks=st.sampled_from(["equal", "near", "far", "zero"]),
+        gap_exp=st.integers(-18, -1),
+    )
+    def test_bounds_dominate_exact_residuals(
+        self, seed, rows, cols, batch, scale_exp, rank_one, blocks, gap_exp
+    ):
+        rng = np.random.default_rng(seed)
+        size = 10.0 ** scale_exp
+        if rank_one:
+            base = _cplx(rng, rows, 1) @ _cplx(rng, 1, cols) * size
+        else:
+            base = _cplx(rng, rows, cols) * size
+        # zero: diagonal blocks of 0, where ‖tl − base‖_F ≈ ‖base‖₂
+        gap = {"equal": 0.0, "near": 10.0 ** gap_exp, "far": 1.0, "zero": 0.0}[blocks]
+        tl, br = (gap * size * _cplx(rng, batch, rows, cols) for _ in range(2))
+        if blocks != "zero":
+            tl, br = tl + base, br + base
+        bl = size * 10.0 ** gap_exp * _cplx(rng, batch, rows, cols)
+        tr = size * _cplx(rng, batch, rows, cols)
+        big = np.concatenate(
+            [np.concatenate([tl, tr], axis=2), np.concatenate([bl, br], axis=2)],
+            axis=1,
+        )
+        bounds = calculus._screen_bounds(base, op_norm(base), tl, br, bl)
+        exact = (
+            rel_diff(tl, base),
+            rel_diff(br, base),
+            rel_residual(op_norms(bl), big),
+        )
+        for bound, value in zip(bounds, exact):
+            # equal up to rounding where the blocks are rank one and tiny
+            assert np.all(value <= bound * (1 + 1e-12))
+
+
+def _schur_closed_form(x, h):
+    return {"x": catalog.schur_derivative(x, h)}
+
+
+CLOSED_FORMS = {
+    "schur": (catalog.schur_map, _schur_closed_form),
+    "ppt_D": (
+        lambda: catalog.ppt_map("pivot_D"),
+        lambda x, h: catalog.ppt_derivative(x, h, "pivot_D"),
+    ),
+    "ppt_A": (
+        lambda: catalog.ppt_map("pivot_A"),
+        lambda x, h: catalog.ppt_derivative(x, h, "pivot_A"),
+    ),
+    "rational_triple": (catalog.rational_triple_map, catalog.rational_triple_derivative),
+}
+
+
+class TestClosedFormDerivatives:
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(
+        name=st.sampled_from(sorted(CLOSED_FORMS)),
+        nu=st.integers(0, 4),
+        nv=st.integers(0, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_trick_matches_closed_form(self, name, nu, nv, seed):
+        make, closed_form = CLOSED_FORMS[name]
+        f = make()
+        vs = f.source_quiver.vertices
+        dims = {vs[0]: nu} if len(vs) == 1 else {vs[0]: nu, vs[1]: nv}
+        x = random_rep(f.source_quiver, dims, seed)
+        h = random_direction(x, seed + 1)
+        # the closed forms invert the same blocks; keep them well conditioned
+        ok, diags = is_regular(f, x)
+        assume(ok and all(d.sigma_min > 1e-2 * d.sigma_max for d in diags))
+        assume(is_regular(f, block_extend(x, h))[0])
+        want = closed_form(x, h)
+        derivative = directional_derivative(f, x, h).h_mats
+        applied = derivative_matrix(f, x).apply(h).h_mats
+        assert set(derivative) == set(want)
+        for a, w in want.items():
+            assert rel_residual(op_norm(derivative[a] - w), w) < 1e-8
+            assert rel_residual(op_norm(applied[a] - w), w) < 1e-8
 
 
 class TestIFTCertificate:

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from freequiver import calculus
 from freequiver.catalog import (
@@ -291,6 +293,13 @@ class TestExitCodes:
         assert err.startswith("block mismatch:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_unwritable_out_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.jsonl"
+        assert main(["demo", "smw", "--seed", "1", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {out}:")
+        assert "Traceback" not in err and err.count("\n") == 1
+
     def test_unknown_demo_exits_2(self, capsys):
         assert main(["demo", "laplace"]) == 2
 
@@ -375,3 +384,85 @@ class TestEvalMachineRoundTrip:
         assert rec["checks"]["lemma_part1"]["note"] == (
             "conditional on sampled injectivity evidence"
         )
+
+
+def _locations(obj, path=()):
+    """Every path into a parsed JSON value, the root included."""
+    yield path
+    items = obj.items() if isinstance(obj, dict) else (
+        enumerate(obj) if isinstance(obj, list) else ()
+    )
+    for key, value in items:
+        yield from _locations(value, path + (key,))
+
+
+_NEST = "\u0000nest\u0000"
+_JUNK = [None, True, 0, -1, 2.5, "", "x", "ümlaut ∂", [], {}, [[1]],
+         {"op": "atom"}, float("nan"), float("inf"), -float("inf")]
+
+
+def _mutate(obj, path, how, junk, depth):
+    """The JSON text of obj with one mutation at path. 'nest' wraps the value
+    in depth lists or inverse nodes, spliced in as text so that no depth is
+    too deep to write."""
+    nested = None
+    if not path:
+        obj = {"drop": {}, "retype": junk}.get(how, obj)
+    else:
+        parent = obj
+        for key in path[:-1]:
+            parent = parent[key]
+        key = path[-1]
+        value = parent[key]
+        if how == "drop":
+            del parent[key]
+        elif how == "retype":
+            parent[key] = junk
+        elif how == "non_ascii" and isinstance(value, str):
+            parent[key] = value + "\u00e9\u4e2d"
+        elif how == "non_ascii" and isinstance(parent, dict):
+            parent[key + "\u00e9"] = parent.pop(key)
+        elif how == "nan":
+            parent[key] = float("nan") if isinstance(value, (int, float)) else [float("nan")]
+        elif how in ("nest_list", "nest_inv"):
+            nested = json.dumps(value)
+            parent[key] = _NEST
+    text = json.dumps(obj, ensure_ascii=False)
+    if nested is not None:
+        head, tail = ("[" * depth, "]" * depth) if how == "nest_list" else (
+            '{"op": "inv", "of": ' * depth, "}" * depth)
+        text = text.replace(json.dumps(_NEST), head + nested + tail, 1)
+    return text
+
+
+class TestFuzzedDefinitions:
+    @settings(derandomize=True, max_examples=250, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_mutated_files_fail_cleanly(self, data, tmp_path, capsys):
+        files = {
+            "map": json.loads(dumps(schur_map())),
+            "rep": json.loads(dumps(random_rep(sch_quiver(), {"u": 2, "v": 2}, 5))),
+        }
+        target = data.draw(st.sampled_from(sorted(files)))
+        obj = files[target]
+        path = data.draw(st.sampled_from(list(_locations(obj))))
+        how = data.draw(st.sampled_from(
+            ["drop", "retype", "non_ascii", "nan", "nest_list", "nest_inv"]))
+        junk = data.draw(st.sampled_from(_JUNK))
+        depth = data.draw(st.sampled_from([1, 40, 3000]))
+        texts = {name: json.dumps(o) for name, o in files.items()}
+        texts[target] = _mutate(obj, path, how, junk, depth)
+        try:
+            loads(texts[target])
+        except (ParseError, TypecheckError):
+            pass
+        paths = {}
+        for name, text in texts.items():
+            paths[name] = tmp_path / f"fuzz.{name}"
+            paths[name].write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        for argv in (["eval", "--map", str(paths["map"]), "--rep", str(paths["rep"])],
+                     ["certify", "--map", str(paths["map"]), "--dims", "u=2,v=1"]):
+            assert main(argv) in (0, 1, 2, 3)
+            assert "Traceback" not in capsys.readouterr().err
