@@ -17,11 +17,12 @@ entries in which every distinct inverse node is factored once, and a single
 directional derivative is the stack of one.
 
 Every block point must also reproduce f(X) on its diagonal blocks and vanish
-on its lower-left block. Since ‖A‖₂ ≤ ‖A‖_F, Frobenius norms and ‖f(X)‖₂
-(taken once per call) bound those residuals from above; a point whose bounds
-sit well inside BLOCK_TOL passes without a singular value decomposition, and
-only the points that could fail take the exact 2-norm residuals. The verdicts
-and error messages are those of the exact residuals alone.
+on its lower-left block. Since ‖A‖₂ ≤ ‖A‖_F ≤ √rank(A)·‖A‖₂, Frobenius
+norms bound those residuals from above, with ‖f(X)‖₂ bounded from below by
+‖f(X)‖_F / √min(rows, cols) (taken once per call); a point whose bounds sit
+well inside BLOCK_TOL passes without a singular value decomposition, and only
+the points that could fail take the exact 2-norm residuals. The verdicts and
+error messages are those of the exact residuals alone.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .numerics import (
     as_complex_matrix,
     frob_norm,
     frob_norms,
-    op_norm,
     op_norms,
     rel_diff,
     rel_residual,
@@ -204,10 +204,15 @@ class _Points(NamedTuple):
 
 
 def _image_norms(fx: Rep) -> dict[str, float]:
-    """‖f(X)‖₂ per target arc, for the block-check screen; NaN where f(X) is
-    not finite, so that every block point there takes the exact checks."""
+    """A lower bound on ‖f(X)‖₂ per target arc, for the block-check screen:
+    ‖f(X)‖_F / √min(rows, cols), shaved by more than the rounding of the
+    Frobenius norm can add; 0.0 where an axis is empty, NaN where f(X) is not
+    finite, so that every block point there takes the exact checks."""
+    eps = np.finfo(float).eps
     return {
-        a: op_norm(m) if np.isfinite(m).all() else math.nan
+        a: frob_norm(m) / math.sqrt(max(min(m.shape), 1)) * (1 - 2 * (m.size + 2) * eps)
+        if np.isfinite(m).all()
+        else math.nan
         for a, m in fx.mats.items()
     }
 
@@ -218,7 +223,7 @@ def _screen_bounds(
     """Upper bounds, per matrix of the stacks, on the three block residuals
     rel_diff(tl, base), rel_diff(br, base) and rel_residual(‖bl‖₂, big) of
     the block points big = [[tl, *], [bl, br]], from Frobenius norms and
-    s = ‖base‖₂ alone.
+    s ≤ ‖base‖₂ alone (the bounds only grow as s shrinks).
 
     With d = ‖tl − base‖_F ≥ ‖tl − base‖₂, the reverse triangle inequality
     gives ‖tl‖₂ ≥ s − d, and ‖big‖₂ is at least ‖tl‖₂ and ‖br‖₂. The lower
@@ -461,7 +466,13 @@ def ift_certificate(f: FreeMapDef, x: Rep, tol: float = IFT_TOL) -> IFTCertifica
         kernel_dim = cols
         vh_tail = np.eye(cols, dtype=np.complex128)
     else:
-        _, s, vh = np.linalg.svd(dm.matrix, full_matrices=True)
+        try:
+            _, s, vh = np.linalg.svd(dm.matrix, full_matrices=True)
+        except np.linalg.LinAlgError:
+            # gesdd can fail to converge (seen on Jacobians with a large
+            # kernel); J = QR with Q unitary, so the triangular R has J's
+            # singular values and right singular vectors
+            _, s, vh = np.linalg.svd(np.linalg.qr(dm.matrix)[1], full_matrices=True)
         smax = float(s[0])
         smin = float(s[-1]) if len(s) >= cols else 0.0
         kernel_dim = cols - int(np.sum(s > tol * smax)) if smax > 0 else cols

@@ -35,7 +35,7 @@ from .numerics import (
     as_complex_matrix,
     is_invertible,
     op_norm,
-    rel_residual,
+    rel_diff,
 )
 from .quivers import Arc, Quiver, RelationPresentation, classical_embed, identity_path, path_of
 from .reps import Rep
@@ -189,11 +189,7 @@ def block_inverse_check(x: Rep) -> float:
         "x21": direct[nu:, :nu],
         "x2": direct[nu:, nu:],
     }
-    worst = 0.0
-    for arc, ref in slots.items():
-        got = image.mats[arc]
-        worst = max(worst, rel_residual(op_norm(got - ref), got, ref))
-    return worst
+    return max(0.0, *(rel_diff(image.mats[arc], ref) for arc, ref in slots.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -226,10 +222,7 @@ def smw_check(x: Rep) -> float:
     direct = np.linalg.inv(updated)
     rhs = eval_map(smw_rhs_map(), x).mats["x"]
     lhs = eval_map(smw_lhs_map(), x).mats["x"]
-    return max(
-        rel_residual(op_norm(direct - rhs), direct, rhs),
-        rel_residual(op_norm(direct - lhs), direct, lhs),
-    )
+    return max(rel_diff(direct, rhs), rel_diff(direct, lhs))
 
 
 # ---------------------------------------------------------------------------

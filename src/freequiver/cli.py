@@ -8,7 +8,8 @@ for a fixed seed).
 Exit codes: 0 all checks passed, 1 a check failed, 2 file/parse/usage
 error, 3 evaluation outside the regularity domain (including a block-trick
 evaluation whose diagonal blocks fail to reproduce f(X), which means the
-point is effectively irregular or the map is not free).
+point is effectively irregular or the map is not free, and a numerical
+failure such as an SVD that does not converge on an overflowing point).
 """
 
 from __future__ import annotations
@@ -539,6 +540,9 @@ def main(argv=None) -> int:
         if "poly" in args:
             args.poly = parse_poly(args.poly) if args.poly else []
         code, text = run(args)
+    except np.linalg.LinAlgError as e:  # a ValueError, but not a usage error
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return 3
     except (ParseError, TypecheckError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

@@ -25,6 +25,7 @@ import numpy as np
 from .errors import RegularityError, TypecheckError
 from .numerics import (
     INVERTIBILITY_RTOL,
+    certified_inverse,
     singular_values,
 )
 from .quivers import (
@@ -364,6 +365,10 @@ def eval_expr(
     (square for two_sided, rows >= cols for left, cols >= rows for right) and
     its singular values are empty or satisfy
     sigma_min > INVERTIBILITY_RTOL * sigma_max, at every point of a stack.
+    A non-empty square two-sided operand whose computed inverse certifies
+    that rule through numerics.certified_inverse is not decomposed; any
+    other operand, and every operand on the diagnostics path, is decided
+    from its singular values.
     Irregular nodes raise RegularityError (naming the node); with a
     diagnostics list supplied (single points only), failures are recorded
     instead and a pseudo-inverse stands in so the scan can continue.
@@ -391,8 +396,13 @@ def _eval(e: Expr, x: Rep, entry, diagnostics, memo: dict | None) -> np.ndarray:
             if memo is not None and e in memo:
                 return memo[e]
             m = _eval(of, x, entry, diagnostics, memo)
-            s = singular_values(m)
             rows, cols = m.shape[-2:]
+            if memo is not None and mode == "two_sided" and rows == cols > 0:
+                value = certified_inverse(m)
+                if value is not None:
+                    memo[e] = value
+                    return value
+            s = singular_values(m)
             if mode == "two_sided":
                 shape_ok = rows == cols
                 reason = (

@@ -9,7 +9,10 @@ one place:
   ‖A‖₂ ≤ ‖A‖_F, a Frobenius bound may pass a residual; any residual that
   could fail is decided by 2-norms;
 * residuals are relative: raw / (1 + product of operand norms);
-* a square matrix counts as invertible iff sigma_min > 1e-10 * sigma_max;
+* a square matrix counts as invertible iff sigma_min > 1e-10 * sigma_max. A
+  residual-certified Frobenius bound on its computed inverse may pass a
+  clearly regular operand; any operand that could fail is decided by its
+  singular values;
 * numerical nullspaces keep singular vectors with
   sigma <= max(shape) * eps * sigma_max * 10 unless an explicit cutoff is given.
 """
@@ -22,6 +25,13 @@ DEFAULT_TOL = 1e-9
 INVERTIBILITY_RTOL = 1e-10
 
 _EPS = float(np.finfo(np.float64).eps)
+# certified_inverse's margins: residual bound, share of 1/INVERTIBILITY_RTOL
+# allowed for ‖m‖_F·‖inv(m)‖_F, rounding constant of the product m·inv(m), and
+# the smallest Frobenius norm trusted not to have lost bits to underflow
+_RESIDUAL = 0.5
+_COND_SHARE = 0.25
+_PRODUCT_ERR = 8.0
+_TINY = 1e-100
 
 
 def as_complex_matrix(m) -> np.ndarray:
@@ -105,6 +115,37 @@ def is_invertible(m, rtol: float = INVERTIBILITY_RTOL) -> bool:
         return True
     s = singular_values(a)
     return bool(s[-1] > rtol * s[0])
+
+
+def certified_inverse(m) -> np.ndarray | None:
+    """np.linalg.inv(m) for a stack of square matrices (..., n, n), n > 0,
+    when a residual bound shows sigma_min > INVERTIBILITY_RTOL * sigma_max at
+    every matrix; None when in doubt, for the singular values to decide.
+
+    If the computed inverse X has rho = ‖I − mX‖₂ < 1, then m is invertible
+    and ‖m⁻¹‖₂ ≤ ‖X‖₂ / (1 − rho) (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 14). rho is bounded by the Frobenius
+    norm of the computed residual plus a bound on the rounding of the product,
+    so a pass (rho ≤ _RESIDUAL) gives sigma_max / sigma_min ≤ 2‖m‖_F‖X‖_F,
+    at most half the threshold's reciprocal; the margin absorbs rounding in
+    the norms and in the singular values the exact test would compute. The
+    norms are not scaled: with both at least _TINY and their product bounded,
+    no square in them overflows and underflow loses nothing that counts. A
+    non-finite value anywhere in the stack fails the comparisons."""
+    n = m.shape[-1]
+    with np.errstate(all="ignore"):
+        try:
+            x = np.linalg.inv(m)
+        except np.linalg.LinAlgError:
+            return None
+        a, b, r = (np.linalg.norm(t, axis=(-2, -1)) for t in (m, x, m @ x - np.eye(n)))
+        ab = a * b
+        ok = (
+            (np.minimum(a, b) >= _TINY)
+            & (r + _PRODUCT_ERR * n * _EPS * ab <= _RESIDUAL)
+            & (ab <= _COND_SHARE / INVERTIBILITY_RTOL)
+        )
+    return x if ok.all() else None
 
 
 def nullspace_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:

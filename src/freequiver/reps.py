@@ -24,7 +24,7 @@ from .numerics import (
     is_invertible,
     nullspace,
     op_norm,
-    rel_residual,
+    rel_diff,
 )
 from .quivers import Path, Quiver, RelationPresentation, check_path
 
@@ -74,11 +74,7 @@ def rep_residual(x: Rep, y: Rep) -> float:
     """Max relative arc-matrix difference between two same-shape reps."""
     if x.quiver != y.quiver or x.dims != y.dims:
         raise ValueError("reps live on different quivers or dimension profiles")
-    worst = 0.0
-    for a in x.quiver.arc_names():
-        raw = op_norm(x.mats[a] - y.mats[a])
-        worst = max(worst, rel_residual(raw, x.mats[a], y.mats[a]))
-    return worst
+    return max(0.0, *(rel_diff(x.mats[a], y.mats[a]) for a in x.quiver.arc_names()))
 
 
 def eval_path(x: Rep, p: Path) -> np.ndarray:
@@ -296,7 +292,7 @@ def check_relations(x: Rep, pres: RelationPresentation, tol: float = DEFAULT_TOL
     for i, (lhs, rhs) in enumerate(pres.relations):
         lm = eval_path(x, lhs)
         rm = eval_path(x, rhs)
-        res = rel_residual(op_norm(lm - rm), lm, rm)
+        res = rel_diff(lm, rm)
         per_rel[i] = res
         worst = max(worst, res)
     return ResidualReport("relations", worst, tol, worst <= tol, per_rel)

@@ -2,6 +2,11 @@
 certificates, chain/Leibniz/commutation rules, nilpotent coefficients."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -554,6 +559,12 @@ class TestBlockCheckScreen:
         for bound, value in zip(bounds, exact):
             # equal up to rounding where the blocks are rank one and tiny
             assert np.all(value <= bound * (1 + 1e-12))
+        # the lower bound on ‖base‖₂ that derivative_matrix screens with
+        s = calculus._image_norms(SimpleNamespace(mats={"a": base}))["a"]
+        assert s <= op_norm(base)
+        bounds = calculus._screen_bounds(base, s, tl, br, bl)
+        for bound, value in zip(bounds, exact):
+            assert np.all(value <= bound * (1 + 1e-12))
 
 
 def _schur_closed_form(x, h):
@@ -602,6 +613,22 @@ class TestClosedFormDerivatives:
             assert rel_residual(op_norm(applied[a] - w), w) < 1e-8
 
 
+# seeds of random polynomial maps and 12/8 points whose 400x400 Jacobians
+# LAPACK's gesdd fails to decompose with OpenBLAS at one thread, drawn with
+# blake2b by the certify_jacobian benchmark workload: run seed 111 (round 2),
+# and run seed 203 (round 5), where the conjugate transpose fails as well
+NONCONVERGING_SEEDS = [
+    (1928504363864835324, 8316372050708112907),
+    (7968723214157157760, 5870224078913916722),
+]
+
+
+def nonconverging_point(map_seed, point_seed):
+    q = catalog.sch_quiver()
+    f = random_polynomial_map(q, q, map_seed, max_degree=3)
+    return f, random_rep(q, {"u": 12, "v": 8}, point_seed)
+
+
 class TestIFTCertificate:
     def test_identity_full_rank(self):
         x = random_sch(37, nu=2, nv=2)
@@ -644,6 +671,54 @@ class TestIFTCertificate:
         assert cert.separation >= 0.5
         assert cert.collision_residual <= 1e-8
 
+
+    def _assert_certificate_of(self, cert, f, x):
+        dm = derivative_matrix(f, x)
+        s = np.linalg.svd(dm.matrix, compute_uv=False)
+        assert np.allclose(cert.singular_values, s, rtol=0, atol=1e-12 * s[0])
+        assert cert.status == "collision" and cert.kernel_dim >= 1
+        kernel = dm.matrix @ flatten_direction(cert.direction)
+        assert np.linalg.norm(kernel) <= cert.tol * cert.sigma_max
+        assert abs(cert.separation - 1) <= 1e-8
+
+    def test_svd_fallback_through_qr(self, monkeypatch):
+        f, x = nonconverging_point(*NONCONVERGING_SEEDS[0])
+        svd, failed = np.linalg.svd, []
+
+        def first_full_svd_fails(a, *args, **kwargs):
+            if kwargs.get("full_matrices") and not failed:
+                failed.append(a.shape)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", first_full_svd_fails)
+        cert = ift_certificate(f, x)
+        monkeypatch.undo()
+        assert failed == [(400, 400)]
+        self._assert_certificate_of(cert, f, x)
+
+    @pytest.mark.parametrize("seeds", NONCONVERGING_SEEDS)
+    def test_nonconverging_jacobian_at_one_blas_thread(self, seeds):
+        # the thread count is fixed when numpy loads, so this runs in a child
+        code = (
+            "import sys\n"
+            "from freequiver import catalog, ift_certificate, random_polynomial_map, random_rep\n"
+            "q = catalog.sch_quiver()\n"
+            f"f = random_polynomial_map(q, q, {seeds[0]}, max_degree=3)\n"
+            f"x = random_rep(q, {{'u': 12, 'v': 8}}, {seeds[1]})\n"
+            "sys.stdout.write(ift_certificate(f, x).singular_values.tobytes().hex())\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(calculus.__file__).parents[1]))
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+            env[var] = "1"
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        got = np.frombuffer(bytes.fromhex(done.stdout))
+        f, x = nonconverging_point(*seeds)
+        s = np.linalg.svd(derivative_matrix(f, x).matrix, compute_uv=False)
+        assert np.allclose(got, s, rtol=0, atol=1e-12 * s[0])
 
 class TestChainRule:
     def test_identity_inner(self):

@@ -18,7 +18,8 @@ from freequiver.catalog import (
 )
 from freequiver.cli import main, parse_dims, parse_poly
 from freequiver.errors import ParseError, TypecheckError
-from freequiver.exprs import ProductSpec
+from freequiver.exprs import Atom, FreeMapDef, ProductSpec, mul
+from freequiver.quivers import classical_embed
 from freequiver.reps import Rep, random_rep
 from freequiver.serialize import (
     dump,
@@ -291,6 +292,19 @@ class TestExitCodes:
         assert code == 3
         err = capsys.readouterr().err
         assert err.startswith("block mismatch:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_numerical_failure_exits_3(self, tmp_path, capsys):
+        # x·x overflows at 1e200·I, and the SVD of the non-finite image fails
+        q = classical_embed(1)
+        f, p = tmp_path / "square.map", tmp_path / "huge.rep"
+        dump(FreeMapDef(q, q, {"x": mul(Atom("x"), Atom("x"))}), f)
+        dump(Rep(q, {"u": 2}, {"x": 1e200 * np.eye(2)}), p)
+        with np.errstate(all="ignore"):
+            code = main(["derive", "--map", str(f), "--rep", str(p)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure:") and err.count("\n") == 1
         assert "Traceback" not in err
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):

@@ -2,6 +2,7 @@
 monomial decomposition, products."""
 
 import math
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,8 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freequiver import exprs
-from freequiver.catalog import block_inverse_map, ppt_map
+from freequiver import exprs, numerics
+from freequiver.calculus import derivative_matrix, directional_derivative, random_direction
+from freequiver.catalog import block_inverse_map, ppt_map, rational_triple_map
 from freequiver.catalog import schur_map as catalog_schur_map
 from freequiver.errors import RegularityError, TypecheckError
 from freequiver.exprs import (
@@ -420,8 +422,9 @@ class TestInverseNodeSharing:
         monkeypatch.setattr(exprs, "singular_values", counted("svd", svd))
         monkeypatch.setattr(np.linalg, "inv", counted("inv", inverse))
         after = eval_map(block_inverse_map(), x).mats
-        # x1^-1 and (x2 - x21 x1^-1 x12)^-1, over all four entries
-        assert calls == {"svd": 2, "inv": 2}
+        # x1^-1 and (x2 - x21 x1^-1 x12)^-1, over all four entries; both are
+        # clearly regular, so the residual certificate decides them unfactored
+        assert calls == {"svd": 0, "inv": 2}
         assert all(np.array_equal(before[r], after[r]) for r in before)
 
     def test_stacked_points_match_single_points(self):
@@ -463,6 +466,122 @@ class TestInverseNodeSharing:
             eval_map(make(), x)
         assert str(err.value) == message
         assert err.value.node == message.split(" at ")[1].split(" ")[0]
+
+
+def _prescribed(rng, n, batch, sigma):
+    """Stacks U diag(sigma) V with Haar-random unitary U, V."""
+    def haar():
+        z = rng.standard_normal((batch, n, n)) + 1j * rng.standard_normal((batch, n, n))
+        return np.linalg.qr(z)[0]
+    return (haar() * sigma) @ haar()
+
+
+class TestCertifiedInverse:
+    @settings(derandomize=True, max_examples=250, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 24),
+        batch=st.integers(1, 3),
+        kappa_exp=st.one_of(st.sampled_from([0.0, 9.0, 9.4, 10.0, 17.0]), st.floats(0, 17)),
+        scale_exp=st.one_of(st.sampled_from([-150, 0, 150]), st.integers(-150, 150)),
+        spectrum=st.sampled_from(["geometric", "one_small", "one_large"]),
+    )
+    def test_pass_implies_the_singular_value_rule(
+        self, seed, n, batch, kappa_exp, scale_exp, spectrum
+    ):
+        rng = np.random.default_rng(seed)
+        kappa = 10.0 ** kappa_exp
+        sigma = {
+            "geometric": np.geomspace(1.0, 1.0 / kappa, n),
+            "one_small": np.r_[np.ones(n - 1), 1.0 / kappa],
+            "one_large": np.r_[kappa, np.ones(n - 1)] / kappa,
+        }[spectrum]
+        m = _prescribed(rng, n, batch, sigma) * 10.0**scale_exp
+        got = numerics.certified_inverse(m)
+        if got is not None:
+            s = np.linalg.svd(m, compute_uv=False)
+            assert np.all(s[..., -1] > numerics.INVERTIBILITY_RTOL * s[..., 0])
+            assert np.array_equal(got, np.linalg.inv(m))
+        elif kappa <= 10.0 and abs(scale_exp) <= 90:
+            pytest.fail("a well-conditioned stack was left in doubt")
+
+    @pytest.mark.parametrize("case", [
+        "nan", "inf", "zero", "zero_row", "rank_one", "overflow", "one_bad_in_stack",
+    ])
+    def test_doubtful_inputs_return_none_quietly(self, case):
+        rng = np.random.default_rng(3)
+        m = rng.standard_normal((2, 4, 4)) + 1j * rng.standard_normal((2, 4, 4))
+        if case == "nan":
+            m[0, 1, 2] = np.nan
+        elif case == "inf":
+            m[1, 0, 0] = np.inf
+        elif case == "zero":
+            m[:] = 0
+        elif case == "zero_row":
+            m[:, 2] = 0
+        elif case == "rank_one":
+            m = m[:, :, :1] @ m[:, :1, :]
+        elif case == "overflow":  # finite entries whose Frobenius norm overflows
+            m *= 1e308 / np.abs(m).max()
+        else:
+            m[1] = _prescribed(rng, 4, 1, np.array([1.0, 1.0, 1.0, 1e-12]))[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numerics.certified_inverse(m) is None
+
+    def test_inaccurate_inverse_is_not_trusted(self, monkeypatch):
+        # an approximate inverse 0.7·m⁻¹ leaves the residual 0.3·I: certified
+        # at n = 1 (0.3 ≤ 1/2), in doubt at n = 4 (‖0.3·I‖_F = 0.6)
+        m = _prescribed(np.random.default_rng(8), 4, 2, np.array([2.0, 1.5, 1.0, 0.5]))
+        inverse = np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: 0.7 * inverse(a))
+        assert numerics.certified_inverse(m) is None
+        assert numerics.certified_inverse(m[:, :1, :1]) is not None
+
+    def test_unscreened_evaluation_is_bitwise_equal(self, monkeypatch):
+        sch = sch_quiver()
+        one_sided = FreeMapDef(sch, sch, {
+            "x1": inv(Atom("x1"), "left"), "x2": inv(Atom("x2"), "right"),
+            "x12": Atom("x12"), "x21": Atom("x21"),
+        })
+        maps = [
+            catalog_schur_map(), ppt_map("pivot_D"), ppt_map("pivot_A"),
+            block_inverse_map(), rational_triple_map(), one_sided,
+            random_polynomial_map(sch, sch, 9, max_degree=3),
+        ]
+        cases = []
+        for f in maps:
+            q = f.source_quiver
+            for nu, nv in ((3, 2), (0, 2), (6, 4)):
+                x = random_rep(q, {"u": nu, "v": nv} if "v" in q.vertices else {"u": nu}, nu + nv)
+                cases += [(f, x), (f, with_zero_arc(x, "x2" if "x2" in x.mats else "x"))]
+
+        def outputs():
+            out = []
+            for f, x in cases:
+                try:
+                    h = random_direction(x, 5)
+                    out.append((
+                        eval_map(f, x).mats,
+                        directional_derivative(f, x, h).h_mats,
+                        derivative_matrix(f, x).matrix,
+                    ))
+                except RegularityError as err:
+                    out.append(str(err))
+            return out
+
+        screened = outputs()
+        monkeypatch.setattr(exprs, "certified_inverse", lambda m: None)
+        unscreened = outputs()
+        assert sum(isinstance(o, str) for o in screened) >= 5
+        for a, b in zip(screened, unscreened):
+            if isinstance(a, str):
+                assert a == b
+            else:
+                assert all(
+                    np.array_equal(u[k], v[k]) for u, v in zip(a[:2], b[:2]) for k in u
+                )
+                assert np.array_equal(a[2], b[2])
 
 
 class TestFreeMapDef:
