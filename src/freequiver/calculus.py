@@ -50,11 +50,12 @@ from .numerics import (
     as_complex_matrix,
     frob_norm,
     frob_norms,
+    joint_frob_norm,
     op_norms,
     rel_diff,
     rel_residual,
 )
-from .reps import NatTrans, Rep, direct_sum, rep_distance
+from .reps import NatTrans, Rep, arc_matrices, direct_sum, rep_distance, rep_residual
 
 BLOCK_TOL = 1e-8
 IFT_TOL = 1e-8
@@ -67,6 +68,8 @@ _CHUNK = 32
 # bound is at most this share of BLOCK_TOL (see _screen_bounds); the rest of
 # the share absorbs rounding in the Frobenius and the 2-norms.
 _SCREEN = 0.5
+# observed_order's error floor; errors all below it mean an exact derivative
+_ORDER_FLOOR = 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -82,21 +85,7 @@ class DirectionField:
     h_mats: dict[str, np.ndarray]
 
     def __post_init__(self):
-        mats = {}
-        for a in self.base.quiver.arcs:
-            if a.name not in self.h_mats:
-                raise ValueError(f"missing direction matrix for arc {a.name!r}")
-            m = as_complex_matrix(self.h_mats[a.name])
-            if m.shape != self.base.mats[a.name].shape:
-                raise ValueError(
-                    f"direction at {a.name!r}: shape {m.shape} != "
-                    f"{self.base.mats[a.name].shape}"
-                )
-            mats[a.name] = m
-        extra = set(self.h_mats) - set(mats)
-        if extra:
-            raise ValueError(f"direction matrices for unknown arcs: {sorted(extra)}")
-        self.h_mats = mats
+        self.h_mats = arc_matrices(self.base, self.h_mats, "direction ")
 
 
 def zero_direction(x: Rep) -> DirectionField:
@@ -130,12 +119,13 @@ def direction_scale(c, h: DirectionField) -> DirectionField:
 
 def direction_norm(h: DirectionField) -> float:
     """Stacked Frobenius norm over all components."""
-    return math.sqrt(sum(frob_norm(m) ** 2 for m in h.h_mats.values()))
+    return joint_frob_norm(h.h_mats.values())
 
 
 def direction_residual(h: DirectionField, k: DirectionField) -> float:
-    """Max relative componentwise difference between two direction fields."""
-    return max(rel_diff(h.h_mats[a], k.h_mats[a]) for a in h.h_mats)
+    """Max relative componentwise difference between two direction fields;
+    0.0 when they have no components."""
+    return max((rel_diff(h.h_mats[a], k.h_mats[a]) for a in h.h_mats), default=0.0)
 
 
 def direction_slots(x: Rep) -> list[tuple[str, int, int, int]]:
@@ -360,14 +350,13 @@ def fd_errors(
     ]
 
 
-def observed_order(
-    eps_list: list[float], errors: list[float], floor: float = 1e-12
-) -> float:
-    """Least-squares slope of log error vs log eps. Errors entirely below the
-    floor (derivative exact, e.g. linear maps) report as inf."""
-    if max(errors) < floor:
+def observed_order(eps_list: list[float], errors: list[float]) -> float:
+    """Least-squares slope of log error vs log eps, with errors clipped from
+    below at 1e-12. Errors entirely below it (derivative exact, e.g. linear
+    maps) report as inf."""
+    if max(errors) < _ORDER_FLOOR:
         return math.inf
-    clipped = [max(e, floor) for e in errors]
+    clipped = [max(e, _ORDER_FLOOR) for e in errors]
     slope = np.polyfit(np.log(np.asarray(eps_list)), np.log(np.asarray(clipped)), 1)[0]
     return float(slope)
 
@@ -375,25 +364,16 @@ def observed_order(
 @dataclass(eq=False)
 class DerivativeMatrix:
     """The linear map H -> Df(X)[H] over stacked row-major direction
-    coordinates. col_index/row_index give the (arc, row, col) triple for each
-    flat coordinate on the source/target side."""
+    coordinates: the flat layout of direction_slots(base) on the source side
+    and of direction_slots(image_base) on the target side."""
 
     matrix: np.ndarray
-    col_index: list[tuple[str, int, int]]
-    row_index: list[tuple[str, int, int]]
     base: Rep
     image_base: Rep
 
     def apply(self, h: DirectionField) -> DirectionField:
         vec = self.matrix @ flatten_direction(h)
         return unflatten_direction(self.image_base, vec)
-
-
-def _index_table(x: Rep) -> list[tuple[str, int, int]]:
-    table = []
-    for arc, rows, cols, _ in direction_slots(x):
-        table.extend((arc, i, j) for i in range(rows) for j in range(cols))
-    return table
 
 
 def derivative_matrix(
@@ -408,26 +388,25 @@ def derivative_matrix(
     by column evaluation gives."""
     fx = eval_map(f, x)
     fx_norms = _image_norms(fx)
-    col_index = _index_table(x)
-    row_index = _index_table(fx)
-    matrix = np.zeros((len(row_index), len(col_index)), dtype=np.complex128)
     slots, image_slots = direction_slots(x), direction_slots(fx)
-    for start in range(0, len(col_index), _CHUNK):
-        stop = min(start + _CHUNK, len(col_index))
+    n_rows, n_cols = (sum(r * c for _, r, c, _ in s) for s in (image_slots, slots))
+    matrix = np.zeros((n_rows, n_cols), dtype=np.complex128)
+    for start in range(0, n_cols, _CHUNK):
+        stop = min(start + _CHUNK, n_cols)
         batch = stop - start
-        units = np.zeros((batch, len(col_index)), dtype=np.complex128)
+        units = np.zeros((batch, n_cols), dtype=np.complex128)
         units[np.arange(batch), np.arange(start, stop)] = 1.0
         u = {
             arc: units[:, offset:offset + rows * cols].reshape(batch, rows, cols)
             for arc, rows, cols, offset in slots
         }
         tr = _block_derivatives(f, x, fx, fx_norms, u)
-        if row_index:
+        if n_rows:
             matrix[:, start:stop] = np.concatenate(
                 [tr[a].reshape(batch, rows * cols) for a, rows, cols, _ in image_slots],
                 axis=1,
             ).T
-    return DerivativeMatrix(matrix, col_index, row_index, x, fx)
+    return DerivativeMatrix(matrix, x, fx)
 
 
 @dataclass(eq=False)
@@ -554,7 +533,8 @@ def gamma_commutation_check(
     gamma: NatTrans,
 ) -> float:
     """Evaluate f on the block point [[X, XΓ−ΓY], [0, Y]] and compare against
-    [[f(X), f(X)Γ−Γf(Y)], [0, f(Y)]]. Γ only needs compatible shapes; the
+    [[f(X), f(X)Γ−Γf(Y)], [0, f(Y)]], with Γ at a target vertex taken at its
+    source vertex under f.vertex_map. Γ only needs compatible shapes; the
     identity holds whether or not it intertwines (it is a conjugation by the
     unitriangular [[1, Γ], [0, 1]])."""
     if gamma.to_rep is not x or gamma.from_rep is not y:
@@ -563,28 +543,15 @@ def gamma_commutation_check(
             want = (x.dims[v], y.dims[v])
             if gamma.gammas[v].shape != want:
                 raise ValueError(f"gamma at {v!r}: shape {gamma.gammas[v].shape} != {want}")
-    u_mats = {}
-    for a in x.quiver.arcs:
-        u_mats[a.name] = (
-            x.mats[a.name] @ gamma.gammas[a.src] - gamma.gammas[a.dst] @ y.mats[a.name]
-        )
-    z = mixed_block_rep(x, y, u_mats)
-    big = eval_map(f, z)
-    fx, fy = eval_map(f, x), eval_map(f, y)
-    worst = 0.0
-    for a in f.target_quiver.arcs:
-        gs = gamma.gammas[f.vertex_map[a.src]]
-        gd = gamma.gammas[f.vertex_map[a.dst]]
-        m, n = fx.dims[a.dst], fy.dims[a.src]
-        expected = np.zeros(
-            (fx.dims[a.dst] + fy.dims[a.dst], fx.dims[a.src] + fy.dims[a.src]),
-            dtype=np.complex128,
-        )
-        expected[:m, : fx.dims[a.src]] = fx.mats[a.name]
-        expected[:m, fx.dims[a.src]:] = fx.mats[a.name] @ gs - gd @ fy.mats[a.name]
-        expected[m:, fx.dims[a.src]:] = fy.mats[a.name]
-        worst = max(worst, rel_diff(big.mats[a.name], expected))
-    return worst
+
+    def block_point(p: Rep, q: Rep, g) -> Rep:  # [[P, PΓ−ΓQ], [0, Q]], Γ = g per vertex
+        return mixed_block_rep(p, q, {
+            a.name: p.mats[a.name] @ g[a.src] - g[a.dst] @ q.mats[a.name] for a in p.quiver.arcs
+        })
+
+    big = eval_map(f, block_point(x, y, gamma.gammas))
+    image_gammas = {v: gamma.gammas[s] for v, s in f.vertex_map.items()}
+    return rep_residual(big, block_point(eval_map(f, x), eval_map(f, y), image_gammas))
 
 
 # ---------------------------------------------------------------------------

@@ -518,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("demo", help="run a named built-in scenario")
     p.add_argument("demo", choices=DEMO_NAMES)
-    _add_common(p, "seed", "dims", "tol", "format", "out", "zero-arc")
+    _add_common(p, "seed", "dims", "tol", "format", "out")
 
     p = sub.add_parser("coeffs", help="univariate coefficients via a nilpotent point")
     p.add_argument("--poly", type=str, required=True, metavar="c0,c1,...")

@@ -14,10 +14,12 @@ one place:
   clearly regular operand; any operand that could fail is decided by its
   singular values;
 * numerical nullspaces keep singular vectors with
-  sigma <= max(shape) * eps * sigma_max * 10 unless an explicit cutoff is given.
+  sigma <= max(shape) * eps * sigma_max * 10.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -58,6 +60,11 @@ def op_norms(m) -> np.ndarray:
 def frob_norm(m) -> float:
     """Frobenius norm; 0.0 for matrices with an empty axis."""
     return float(frob_norms(m))
+
+
+def joint_frob_norm(mats) -> float:
+    """Frobenius norm of a sequence of matrices taken as one stacked vector."""
+    return math.sqrt(sum(frob_norm(m) ** 2 for m in mats))
 
 
 def frob_norms(m) -> np.ndarray:
@@ -103,8 +110,8 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def is_invertible(m, rtol: float = INVERTIBILITY_RTOL) -> bool:
-    """Square matrix invertibility test: sigma_min > rtol * sigma_max.
+def is_invertible(m) -> bool:
+    """Square matrix invertibility test: sigma_min > INVERTIBILITY_RTOL * sigma_max.
 
     Zero-size square matrices count as invertible (empty product convention).
     """
@@ -114,7 +121,7 @@ def is_invertible(m, rtol: float = INVERTIBILITY_RTOL) -> bool:
     if a.shape[0] == 0:
         return True
     s = singular_values(a)
-    return bool(s[-1] > rtol * s[0])
+    return bool(s[-1] > INVERTIBILITY_RTOL * s[0])
 
 
 def certified_inverse(m) -> np.ndarray | None:
@@ -148,19 +155,10 @@ def certified_inverse(m) -> np.ndarray | None:
     return x if ok.all() else None
 
 
-def nullspace_cutoff(s: np.ndarray, shape: tuple[int, int]) -> float:
-    """Default rank cutoff: max(shape) * machine eps * sigma_max * 10."""
-    if s.size == 0:
-        return 0.0
-    return max(shape) * _EPS * float(s[0]) * 10.0
-
-
-def nullspace(m, tol: float | None = None) -> np.ndarray:
-    """Orthonormal basis (rows) of the numerical nullspace of m.
-
-    tol, when given, keeps singular vectors with sigma <= tol * sigma_max;
-    otherwise the default cutoff from nullspace_cutoff applies. The m == "no
-    constraints" case (zero rows) returns the identity basis.
+def nullspace(m) -> np.ndarray:
+    """Orthonormal basis (rows) of the numerical nullspace of m: the singular
+    vectors with sigma <= max(shape) * machine eps * sigma_max * 10. The
+    m == "no constraints" case (zero rows) returns the identity basis.
     """
     a = np.asarray(m, dtype=np.complex128)
     rows, cols = a.shape
@@ -169,8 +167,7 @@ def nullspace(m, tol: float | None = None) -> np.ndarray:
     if rows == 0:
         return np.eye(cols, dtype=np.complex128)
     _, s, vh = np.linalg.svd(a, full_matrices=True)
-    cutoff = (tol * float(s[0])) if tol is not None else nullspace_cutoff(s, a.shape)
-    rank = int(np.sum(s > cutoff))
+    rank = int(np.sum(s > max(a.shape) * _EPS * float(s[0]) * 10.0))
     # rows of vh are conjugated right singular vectors; undo the conjugation so
     # each returned row r satisfies a @ r ≈ 0
     return np.conj(vh[rank:])

@@ -10,7 +10,6 @@ nullspace.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
@@ -20,8 +19,8 @@ from .errors import RegularityError
 from .numerics import (
     DEFAULT_TOL,
     as_complex_matrix,
-    frob_norm,
     is_invertible,
+    joint_frob_norm,
     nullspace,
     op_norm,
     rel_diff,
@@ -44,37 +43,45 @@ class Rep:
                 raise ValueError(f"dims missing vertex {v!r}")
             if self.dims[v] < 0:
                 raise ValueError(f"negative dimension at vertex {v!r}")
-        mats = {}
-        for a in self.quiver.arcs:
-            if a.name not in self.mats:
-                raise ValueError(f"missing matrix for arc {a.name!r}")
-            m = as_complex_matrix(self.mats[a.name])
-            want = (self.dims[a.dst], self.dims[a.src])
-            if m.shape != want:
-                raise ValueError(
-                    f"arc {a.name!r}: matrix shape {m.shape} != required {want}"
-                )
-            mats[a.name] = m
-        extra = set(self.mats) - set(mats)
-        if extra:
-            raise ValueError(f"matrices for unknown arcs: {sorted(extra)}")
-        self.mats = mats
+        self.mats = arc_matrices(self, self.mats)
+
+
+def arc_matrices(x: Rep, mats: Mapping, kind: str = "") -> dict[str, np.ndarray]:
+    """mats as complex matrices in x's arc order, checked to hold one matrix of
+    shape x.dims[dst] x x.dims[src] per arc of x.quiver and nothing else;
+    kind (e.g. "direction ") prefixes "matrix" in the errors."""
+    out = {}
+    for a in x.quiver.arcs:
+        if a.name not in mats:
+            raise ValueError(f"missing {kind}matrix for arc {a.name!r}")
+        m = as_complex_matrix(mats[a.name])
+        want = (x.dims[a.dst], x.dims[a.src])
+        if m.shape != want:
+            raise ValueError(
+                f"arc {a.name!r}: {kind}matrix shape {m.shape} != required {want}"
+            )
+        out[a.name] = m
+    extra = set(mats) - set(out)
+    if extra:
+        raise ValueError(f"{kind}matrices for unknown arcs: {sorted(extra)}")
+    return out
 
 
 def rep_distance(x: Rep, y: Rep) -> float:
     """Stacked Frobenius distance over all arc matrices."""
     if x.quiver != y.quiver or x.dims != y.dims:
         raise ValueError("reps live on different quivers or dimension profiles")
-    return math.sqrt(
-        sum(frob_norm(x.mats[a] - y.mats[a]) ** 2 for a in x.quiver.arc_names())
-    )
+    return joint_frob_norm(x.mats[a] - y.mats[a] for a in x.quiver.arc_names())
 
 
 def rep_residual(x: Rep, y: Rep) -> float:
-    """Max relative arc-matrix difference between two same-shape reps."""
+    """Max relative arc-matrix difference between two same-shape reps; 0.0
+    over a quiver without arcs."""
     if x.quiver != y.quiver or x.dims != y.dims:
         raise ValueError("reps live on different quivers or dimension profiles")
-    return max(0.0, *(rel_diff(x.mats[a], y.mats[a]) for a in x.quiver.arc_names()))
+    return max(
+        (rel_diff(x.mats[a], y.mats[a]) for a in x.quiver.arc_names()), default=0.0
+    )
 
 
 def eval_path(x: Rep, p: Path) -> np.ndarray:
@@ -211,15 +218,14 @@ def check_nat_trans(g: NatTrans, tol: float = DEFAULT_TOL) -> ResidualReport:
     return ResidualReport("nat_trans", worst, tol, worst <= tol, per_arc)
 
 
-def intertwiner_space(x: Rep, y: Rep, tol: float | None = None) -> list[NatTrans]:
+def intertwiner_space(x: Rep, y: Rep) -> list[NatTrans]:
     """Orthonormal basis (stacked-vector inner product) of all natural
     transformations y -> x.
 
     The equations X(a) G_src - G_dst Y(a) = 0 over all arcs are assembled into
     one homogeneous system via row-major vectorization:
         vec(A M) = (A kron I) vec(M),   vec(M B) = (I kron B^T) vec(M),
-    and solved with an SVD nullspace (singular values <= tol * sigma_max;
-    default cutoff per the numerics module when tol is None).
+    and solved with an SVD nullspace at the numerics module's rank cutoff.
     """
     if x.quiver != y.quiver:
         raise ValueError("intertwiner space needs reps over the same quiver")
@@ -245,7 +251,7 @@ def intertwiner_space(x: Rep, y: Rep, tol: float | None = None) -> list[NatTrans
                     np.eye(x.dims[a.dst]), y.mats[a.name].T
                 )
         r0 += n_rows
-    basis_vectors = nullspace(system, tol=tol)
+    basis_vectors = nullspace(system)
     out = []
     for vec in basis_vectors:
         gammas = {

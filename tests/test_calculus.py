@@ -147,6 +147,8 @@ class TestDirectionFields:
             })
         with pytest.raises(ValueError, match="missing direction"):
             DirectionField(x, {"x1": np.zeros((3, 3))})
+        with pytest.raises(ValueError, match="unknown arcs"):
+            DirectionField(x, {**zero_direction(x).h_mats, "x9": np.zeros((3, 3))})
 
     def test_flatten_roundtrip(self):
         x = random_sch(2)
@@ -824,6 +826,41 @@ class TestGammaCommutation:
         for a in f.target_quiver.arcs:
             gap = fx.mats[a.name] @ gamma.gammas[a.src] - gamma.gammas[a.dst] @ fy.mats[a.name]
             assert np.linalg.norm(gap, 2) <= 1e-8
+
+    def test_swapped_vertex_map_reads_gamma_at_source_vertex(self):
+        # target u, v sit over source v, u: Γ at a target vertex is read at vm of it
+        vm = {"u": "v", "v": "u"}
+        f = FreeMapDef(sch_quiver(), worked_target(), {
+            "y1": add(mul(Atom("x21"), Atom("x12")), inv(Atom("x2"))),
+            "y21": add(Atom("x12"), mul(Atom("x1"), Atom("x12"), Atom("x2"))),
+        }, vertex_map=vm)
+        x, y = random_sch(70, nu=3, nv=2), random_sch(71, nu=2, nv=3)
+        rng = np.random.Generator(np.random.PCG64(72))
+        g = {v: rng.standard_normal(s) + 1j * rng.standard_normal(s)
+             for v, s in {"u": (3, 2), "v": (2, 3)}.items()}
+        gamma = NatTrans(y, x, g)
+        big = eval_map(f, mixed_block_rep(x, y, {
+            a.name: x.mats[a.name] @ g[a.src] - g[a.dst] @ y.mats[a.name]
+            for a in x.quiver.arcs
+        }))
+        fx, fy = eval_map(f, x), eval_map(f, y)
+        want = 0.0
+        for a in f.target_quiver.arcs:
+            fxa, fya = fx.mats[a.name], fy.mats[a.name]
+            expected = np.block([
+                [fxa, fxa @ g[vm[a.src]] - g[vm[a.dst]] @ fya],
+                [np.zeros((fya.shape[0], fxa.shape[1])), fya],
+            ])
+            want = max(want, rel_diff(big.mats[a.name], expected))
+        got = gamma_commutation_check(f, x, y, gamma)
+        assert abs(got - want) <= 1e-12
+        assert got <= 1e-8
+
+    def test_arcless_target_is_zero(self):
+        f = FreeMapDef(sch_quiver(), Quiver(("u", "v"), ()), {})
+        x, y = random_sch(73, nu=3, nv=2), random_sch(74, nu=2, nv=3)
+        gamma = NatTrans(y, x, {"u": np.ones((3, 2)), "v": np.ones((2, 3))})
+        assert gamma_commutation_check(f, x, y, gamma) == 0.0
 
 
 class TestNilpotentCoefficients:

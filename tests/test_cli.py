@@ -19,7 +19,7 @@ from freequiver.catalog import (
 from freequiver.cli import main, parse_dims, parse_poly
 from freequiver.errors import ParseError, TypecheckError
 from freequiver.exprs import Atom, FreeMapDef, ProductSpec, mul
-from freequiver.quivers import classical_embed
+from freequiver.quivers import Quiver, classical_embed
 from freequiver.reps import Rep, random_rep
 from freequiver.serialize import (
     dump,
@@ -316,6 +316,19 @@ class TestExitCodes:
 
     def test_unknown_demo_exits_2(self, capsys):
         assert main(["demo", "laplace"]) == 2
+
+    def test_demo_rejects_zero_arc(self, capsys):
+        # only certify reads --zero-arc
+        assert main(["demo", "schur", "--zero-arc", "x21"]) == 2
+        assert "--zero-arc" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["derive", "check-free"])
+    def test_arcless_target_exits_0(self, command, tmp_path, capsys):
+        # a target quiver with a vertex but no arcs: every residual is over no arcs
+        p = tmp_path / "noarc.map"
+        dump(FreeMapDef(classical_embed(1), Quiver(("u",), ()), {}), p)
+        assert main([command, "--map", str(p), "--dims", "u=2", "--seed", "1"]) == 0
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_missing_command_exits_2(self, capsys):
         assert main([]) == 2
