@@ -54,8 +54,10 @@ from .numerics import (
     op_norms,
     rel_diff,
     rel_residual,
+    worst,
 )
-from .reps import NatTrans, Rep, arc_matrices, direct_sum, rep_distance, rep_residual
+from .reps import (NatTrans, Rep, arc_matrices, direct_sum, random_rep, rep_distance,
+                   rep_residual, vertex_matrices)
 
 BLOCK_TOL = 1e-8
 IFT_TOL = 1e-8
@@ -93,12 +95,8 @@ def zero_direction(x: Rep) -> DirectionField:
 
 
 def random_direction(x: Rep, seed: int) -> DirectionField:
-    rng = np.random.Generator(np.random.PCG64(seed))
-    mats = {}
-    for a in x.quiver.arcs:
-        shape = x.mats[a.name].shape
-        mats[a.name] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return DirectionField(x, mats)
+    """A direction at x with random_rep's entries for the same seed."""
+    return DirectionField(x, random_rep(x.quiver, x.dims, seed).mats)
 
 
 def matrix_unit_direction(x: Rep, arc: str, i: int, j: int) -> DirectionField:
@@ -125,7 +123,7 @@ def direction_norm(h: DirectionField) -> float:
 def direction_residual(h: DirectionField, k: DirectionField) -> float:
     """Max relative componentwise difference between two direction fields;
     0.0 when they have no components."""
-    return max((rel_diff(h.h_mats[a], k.h_mats[a]) for a in h.h_mats), default=0.0)
+    return worst(rel_diff(h.h_mats[a], k.h_mats[a]) for a in h.h_mats)
 
 
 def direction_slots(x: Rep) -> list[tuple[str, int, int, int]]:
@@ -269,7 +267,7 @@ def _block_derivatives(
                 )
         raise
     out = {}
-    worst = []
+    worsts = []
     for a in f.target_quiver.arcs:
         m, n = fx.dims[a.dst], fx.dims[a.src]
         z = big[a.name]
@@ -283,6 +281,7 @@ def _block_derivatives(
         if doubt.any():
             zd = z[doubt]
             # the single-point residuals, maxed in order as Python's max does
+            # (not numerics.worst: a NaN is 0/(1 + norm of an inf block), a pass)
             wd = rel_diff(zd[:, :m, :n], base)
             for r in (
                 rel_diff(zd[:, m:, n:], base),
@@ -290,15 +289,15 @@ def _block_derivatives(
             ):
                 wd = np.where(r > wd, r, wd)
             w[doubt] = wd
-        worst.append(w)
+        worsts.append(w)
         out[a.name] = z[:, :m, n:]
-    bad = np.array(worst).reshape(len(worst), batch) > BLOCK_TOL
+    bad = np.array(worsts).reshape(len(worsts), batch) > BLOCK_TOL
     if bad.any():
         b = int(np.argmax(bad.any(axis=0)))
         k = int(np.argmax(bad[:, b]))
         raise BlockMismatchError(
             f"block structure broke at arc {f.target_quiver.arcs[k].name!r}: "
-            f"residual {worst[k][b]:.3e} exceeds {BLOCK_TOL:.1e}"
+            f"residual {worsts[k][b]:.3e} exceeds {BLOCK_TOL:.1e}"
         )
     return out
 
@@ -353,8 +352,8 @@ def fd_errors(
 def observed_order(eps_list: list[float], errors: list[float]) -> float:
     """Least-squares slope of log error vs log eps, with errors clipped from
     below at 1e-12. Errors entirely below it (derivative exact, e.g. linear
-    maps) report as inf."""
-    if max(errors) < _ORDER_FLOOR:
+    maps) report as inf; a NaN error gives NaN."""
+    if worst(errors) < _ORDER_FLOOR:
         return math.inf
     clipped = [max(e, _ORDER_FLOOR) for e in errors]
     slope = np.polyfit(np.log(np.asarray(eps_list)), np.log(np.asarray(clipped)), 1)[0]
@@ -519,11 +518,10 @@ def leibniz_check(
     fx, gy = eval_map(f, x), eval_map(g, y)
     df = directional_derivative(f, x, h)
     dg = directional_derivative(g, y, k)
-    worst = 0.0
-    for r, (pa, qa) in spec.pairs.items():
-        want = df.h_mats[pa] @ gy.mats[qa] + fx.mats[pa] @ dg.h_mats[qa]
-        worst = max(worst, rel_diff(lhs.h_mats[r], want))
-    return worst
+    return worst(
+        rel_diff(lhs.h_mats[r], df.h_mats[pa] @ gy.mats[qa] + fx.mats[pa] @ dg.h_mats[qa])
+        for r, (pa, qa) in spec.pairs.items()
+    )
 
 
 def gamma_commutation_check(
@@ -539,10 +537,7 @@ def gamma_commutation_check(
     unitriangular [[1, Γ], [0, 1]])."""
     if gamma.to_rep is not x or gamma.from_rep is not y:
         # allow structurally identical reps; require matching shapes
-        for v in x.quiver.vertices:
-            want = (x.dims[v], y.dims[v])
-            if gamma.gammas[v].shape != want:
-                raise ValueError(f"gamma at {v!r}: shape {gamma.gammas[v].shape} != {want}")
+        vertex_matrices(x, y, gamma.gammas, "gamma")
 
     def block_point(p: Rep, q: Rep, g) -> Rep:  # [[P, PΓ−ΓQ], [0, Q]], Γ = g per vertex
         return mixed_block_rep(p, q, {

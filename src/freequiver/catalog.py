@@ -36,6 +36,7 @@ from .numerics import (
     is_invertible,
     op_norm,
     rel_diff,
+    worst,
 )
 from .quivers import Arc, Quiver, RelationPresentation, classical_embed, identity_path, path_of
 from .reps import Rep
@@ -189,7 +190,7 @@ def block_inverse_check(x: Rep) -> float:
         "x21": direct[nu:, :nu],
         "x2": direct[nu:, nu:],
     }
-    return max(0.0, *(rel_diff(image.mats[arc], ref) for arc, ref in slots.items()))
+    return worst(rel_diff(image.mats[arc], ref) for arc, ref in slots.items())
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +223,7 @@ def smw_check(x: Rep) -> float:
     direct = np.linalg.inv(updated)
     rhs = eval_map(smw_rhs_map(), x).mats["x"]
     lhs = eval_map(smw_lhs_map(), x).mats["x"]
-    return max(rel_diff(direct, rhs), rel_diff(direct, lhs))
+    return worst((rel_diff(direct, rhs), rel_diff(direct, lhs)))
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +284,7 @@ def cbh_truncated(order: int = 3) -> FreeMapDef:
     return FreeMapDef(classical_embed(2), classical_embed(1), {"x": add(*terms)})
 
 
-def cbh_defect(xm: np.ndarray, ym: np.ndarray, order: int = 3, exp_order: int = 12) -> float:
+def cbh_defect(xm: np.ndarray, ym: np.ndarray, order: int = 3) -> float:
     """||exp(z) - exp(x) exp(y)|| with z from the truncated bracket series.
 
     Raw (not relative) norm: the quantity under study is how the defect
@@ -292,9 +293,7 @@ def cbh_defect(xm: np.ndarray, ym: np.ndarray, order: int = 3, exp_order: int = 
     xm, ym = as_complex_matrix(xm), as_complex_matrix(ym)
     point = Rep(classical_embed(2), {"u": xm.shape[0]}, {"x": xm, "y": ym})
     z = eval_map(cbh_truncated(order), point).mats["x"]
-    gap = matrix_exp_truncated(z, exp_order) - (
-        matrix_exp_truncated(xm, exp_order) @ matrix_exp_truncated(ym, exp_order)
-    )
+    gap = matrix_exp_truncated(z) - matrix_exp_truncated(xm) @ matrix_exp_truncated(ym)
     return op_norm(gap)
 
 

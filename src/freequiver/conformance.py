@@ -20,6 +20,7 @@ import numpy as np
 from .calculus import ift_certificate
 from .errors import RegularityError
 from .exprs import FreeMapDef, MapLike, apply_map
+from .numerics import worst
 from .quivers import Quiver
 from .reps import (
     NatAuto,
@@ -103,7 +104,7 @@ class CheckStats:
             self.skipped += 1
             return
         self.executed += 1
-        self.max_residual = max(self.max_residual, residual)
+        self.max_residual = worst((self.max_residual, residual))
         if residual <= tol:
             self.passes += 1
         else:
@@ -181,15 +182,14 @@ def _push_intertwiner(f: MapLike, to_image: Rep, from_image: Rep,
 def _run_cell(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
               seed: int) -> float | None:
     """One (trial, check) cell. Returns the residual, or None to skip."""
+    x = random_rep(q, profile, _hash_seed(f"{seed}:x"))
     if check == "direct_sum":
-        x = random_rep(q, profile, _hash_seed(f"{seed}:x"))
         y = random_rep(q, profile, _hash_seed(f"{seed}:y"))
         left = apply_map(f, direct_sum(x, y))
         right = direct_sum(apply_map(f, x), apply_map(f, y))
         return rep_residual(left, right)
 
     if check == "similarity":
-        x = random_rep(q, profile, _hash_seed(f"{seed}:x"))
         s = random_auto(x, _hash_seed(f"{seed}:s"))
         left = apply_map(f, conjugate(x, s))
         fx = apply_map(f, x)
@@ -197,17 +197,15 @@ def _run_cell(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
         return rep_residual(left, right)
 
     if check == "intertwine":
-        x = random_rep(q, profile, _hash_seed(f"{seed}:x"))
         big = direct_sum(x, x)
         basis = intertwiner_space(big, x)
         if not basis:
             return None
         f_big, f_x = apply_map(f, big), apply_map(f, x)
-        worst = 0.0
-        for gamma in basis:
-            pushed = _push_intertwiner(f, f_big, f_x, gamma.gammas)
-            worst = max(worst, check_nat_trans(pushed).max_residual)
-        return worst
+        return worst(
+            check_nat_trans(_push_intertwiner(f, f_big, f_x, gamma.gammas)).max_residual
+            for gamma in basis
+        )
 
     if check == "lemma_part1":
         if not isinstance(f, FreeMapDef):
@@ -216,7 +214,6 @@ def _run_cell(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
         if image_verts != set(q.vertices) or len(f.target_quiver.vertices) != len(q.vertices):
             return None  # lifts need a one-to-one object correspondence
         inverse_vmap = {f.vertex_map[v]: v for v in f.target_quiver.vertices}
-        x = random_rep(q, profile, _hash_seed(f"{seed}:x"))
         s = random_auto(x, _hash_seed(f"{seed}:s"))
         y = conjugate(x, s)
         cert = ift_certificate(f, direct_sum(x, y))
@@ -226,11 +223,12 @@ def _run_cell(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
         basis = intertwiner_space(fx, fy)
         if not basis:
             return None
-        worst = 0.0
-        for gamma in basis:
-            lifted = {w: gamma.gammas[inverse_vmap[w]] for w in q.vertices}
-            worst = max(worst, check_nat_trans(NatTrans(y, x, lifted)).max_residual)
-        return worst
+        return worst(
+            check_nat_trans(
+                NatTrans(y, x, {w: gamma.gammas[inverse_vmap[w]] for w in q.vertices})
+            ).max_residual
+            for gamma in basis
+        )
 
     raise ValueError(f"unknown check: {check!r}")
 

@@ -347,12 +347,7 @@ def _pinv(m: np.ndarray) -> np.ndarray:
     return np.linalg.pinv(m)
 
 
-def eval_expr(
-    e: Expr,
-    x: Rep,
-    entry: str | None = None,
-    diagnostics: list[InvDiagnostic] | None = None,
-) -> np.ndarray:
+def eval_expr(e: Expr, x: Rep) -> np.ndarray:
     """Evaluate e on the representation x.
 
     x may also be any object with a Rep's dims and mats whose arc matrices
@@ -367,13 +362,10 @@ def eval_expr(
     sigma_min > INVERTIBILITY_RTOL * sigma_max, at every point of a stack.
     A non-empty square two-sided operand whose computed inverse certifies
     that rule through numerics.certified_inverse is not decomposed; any
-    other operand, and every operand on the diagnostics path, is decided
-    from its singular values.
-    Irregular nodes raise RegularityError (naming the node); with a
-    diagnostics list supplied (single points only), failures are recorded
-    instead and a pseudo-inverse stands in so the scan can continue.
+    other operand is decided from its singular values.
+    Irregular nodes raise RegularityError (naming the node).
     """
-    return _eval(e, x, entry, diagnostics, None if diagnostics is not None else {})
+    return _eval(e, x, None, None, {})
 
 
 def _eval(e: Expr, x: Rep, entry, diagnostics, memo: dict | None) -> np.ndarray:
@@ -534,7 +526,11 @@ def eval_entries(
     in entry order. The entries share one memo, so an inverse node that
     occurs in several of them is factored once; an entry whose value is
     already another entry's array (a repeated inverse node, a repeated arc)
-    gets a copy, so no two entries share storage."""
+    gets a copy, so no two entries share storage.
+
+    With a diagnostics list supplied (single points only), every inverse node
+    is decided from its singular values and recorded there, and a failing
+    one does not raise: a pseudo-inverse stands in so the scan can continue."""
     memo = None if diagnostics is not None else {}
     vals: dict[str, np.ndarray] = {}
     for r, e in f.entries.items():
@@ -712,13 +708,16 @@ def degree(f: FreeMapDef) -> int | float:
     return best
 
 
+# most paths random_polynomial_map draws per entry before min_degree's top-up
+_MAX_TERMS = 3
+
+
 def random_polynomial_map(
     source: Quiver,
     target: Quiver,
     seed: int,
     max_degree: int = 3,
     min_degree: int = 0,
-    max_terms: int = 3,
     vertex_map: Mapping[str, str] | None = None,
 ) -> FreeMapDef:
     """Seeded polynomial map: each entry is a small integer combination of
@@ -743,7 +742,7 @@ def random_polynomial_map(
                 f"no path {s!r}->{d!r} of length in [{min_degree}, {max_degree}] "
                 f"for arc {a.name!r}"
             )
-        k = min(int(rng.integers(1, max_terms + 1)), len(paths))
+        k = min(int(rng.integers(1, _MAX_TERMS + 1)), len(paths))
         chosen = set(rng.choice(len(paths), size=k, replace=False).tolist())
         if min_degree > 0 and not any(i in chosen for i in long_idx):
             chosen.add(int(rng.choice(long_idx)))

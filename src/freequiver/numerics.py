@@ -9,6 +9,9 @@ one place:
   ‖A‖₂ ≤ ‖A‖_F, a Frobenius bound may pass a residual; any residual that
   could fail is decided by 2-norms;
 * residuals are relative: raw / (1 + product of operand norms);
+* residuals fold with worst(): the largest value, 0.0 over none, and NaN
+  when any value is NaN, so a residual that could not be computed fails
+  every `<= tol` test instead of reading as a pass;
 * a square matrix counts as invertible iff sigma_min > 1e-10 * sigma_max. A
   residual-certified Frobenius bound on its computed inverse may pass a
   clearly regular operand; any operand that could fail is decided by its
@@ -91,6 +94,13 @@ def rel_residual(raw, *operands):
         denom = denom * (abs(m) if np.isscalar(m) else op_norms(m))
     out = np.asarray(raw, dtype=np.float64) / (1.0 + denom)
     return float(out) if out.ndim == 0 else out
+
+
+def worst(values) -> float:
+    """The largest of values, 0.0 when there are none and NaN when any is NaN
+    (Python's max keeps whichever of a NaN and a number it met first)."""
+    vals = list(map(float, values))
+    return math.nan if any(map(math.isnan, vals)) else max(vals, default=0.0)
 
 
 def rel_diff(a, b):

@@ -24,6 +24,8 @@ from .numerics import (
     nullspace,
     op_norm,
     rel_diff,
+    rel_residual,
+    worst,
 )
 from .quivers import Path, Quiver, RelationPresentation, check_path
 
@@ -67,6 +69,22 @@ def arc_matrices(x: Rep, mats: Mapping, kind: str = "") -> dict[str, np.ndarray]
     return out
 
 
+def vertex_matrices(x: Rep, y: Rep, mats: Mapping, kind: str) -> dict[str, np.ndarray]:
+    """mats as complex matrices in x's vertex order, checked to hold one matrix
+    of shape x.dims[v] x y.dims[v] per vertex of x.quiver; kind (e.g. "gamma")
+    names the matrices in the errors."""
+    out = {}
+    for v in x.quiver.vertices:
+        if v not in mats:
+            raise ValueError(f"missing {kind} at vertex {v!r}")
+        m = as_complex_matrix(mats[v])
+        want = (x.dims[v], y.dims[v])
+        if m.shape != want:
+            raise ValueError(f"{kind} at {v!r}: shape {m.shape} != {want}")
+        out[v] = m
+    return out
+
+
 def rep_distance(x: Rep, y: Rep) -> float:
     """Stacked Frobenius distance over all arc matrices."""
     if x.quiver != y.quiver or x.dims != y.dims:
@@ -79,9 +97,7 @@ def rep_residual(x: Rep, y: Rep) -> float:
     over a quiver without arcs."""
     if x.quiver != y.quiver or x.dims != y.dims:
         raise ValueError("reps live on different quivers or dimension profiles")
-    return max(
-        (rel_diff(x.mats[a], y.mats[a]) for a in x.quiver.arc_names()), default=0.0
-    )
+    return worst(rel_diff(x.mats[a], y.mats[a]) for a in x.quiver.arc_names())
 
 
 def eval_path(x: Rep, p: Path) -> np.ndarray:
@@ -134,16 +150,7 @@ class NatTrans:
     def __post_init__(self):
         if self.from_rep.quiver != self.to_rep.quiver:
             raise ValueError("natural transformation needs a shared quiver")
-        gammas = {}
-        for v in self.to_rep.quiver.vertices:
-            if v not in self.gammas:
-                raise ValueError(f"missing gamma at vertex {v!r}")
-            g = as_complex_matrix(self.gammas[v])
-            want = (self.to_rep.dims[v], self.from_rep.dims[v])
-            if g.shape != want:
-                raise ValueError(f"gamma at {v!r}: shape {g.shape} != {want}")
-            gammas[v] = g
-        self.gammas = gammas
+        self.gammas = vertex_matrices(self.to_rep, self.from_rep, self.gammas, "gamma")
 
 
 @dataclass(eq=False)
@@ -155,20 +162,12 @@ class NatAuto:
     s_mats: dict[str, np.ndarray]
 
     def __post_init__(self):
-        mats = {}
-        for v in self.rep.quiver.vertices:
-            if v not in self.s_mats:
-                raise ValueError(f"missing matrix at vertex {v!r}")
-            s = as_complex_matrix(self.s_mats[v])
-            want = (self.rep.dims[v], self.rep.dims[v])
-            if s.shape != want:
-                raise ValueError(f"automorphism at {v!r}: shape {s.shape} != {want}")
+        self.s_mats = vertex_matrices(self.rep, self.rep, self.s_mats, "automorphism")
+        for v, s in self.s_mats.items():
             if not is_invertible(s):
                 raise RegularityError(
                     f"automorphism matrix at vertex {v!r} is numerically singular"
                 )
-            mats[v] = s
-        self.s_mats = mats
 
     def inverse(self) -> "NatAuto":
         return NatAuto(self.rep, {v: np.linalg.inv(s) for v, s in self.s_mats.items()})
@@ -207,15 +206,13 @@ def check_nat_trans(g: NatTrans, tol: float = DEFAULT_TOL) -> ResidualReport:
     ||X(a) G_src - G_dst Y(a)|| / (1 + ||X(a)|| * max_v ||G_v||).
     Generating arcs suffice because the path category is free on them."""
     x, y = g.to_rep, g.from_rep
-    gamma_scale = max((op_norm(m) for m in g.gammas.values()), default=0.0)
+    gamma_scale = worst(op_norm(m) for m in g.gammas.values())
     per_arc = {}
-    worst = 0.0
     for a in x.quiver.arcs:
         raw = op_norm(x.mats[a.name] @ g.gammas[a.src] - g.gammas[a.dst] @ y.mats[a.name])
-        res = raw / (1.0 + op_norm(x.mats[a.name]) * gamma_scale)
-        per_arc[a.name] = res
-        worst = max(worst, res)
-    return ResidualReport("nat_trans", worst, tol, worst <= tol, per_arc)
+        per_arc[a.name] = rel_residual(raw, x.mats[a.name], gamma_scale)
+    res = worst(per_arc.values())
+    return ResidualReport("nat_trans", res, tol, res <= tol, per_arc)
 
 
 def intertwiner_space(x: Rep, y: Rep) -> list[NatTrans]:
@@ -293,12 +290,9 @@ def check_relations(x: Rep, pres: RelationPresentation, tol: float = DEFAULT_TOL
     """Max over relations of ||eval(lhs) - eval(rhs)|| / (1 + ||lhs|| * ||rhs||)."""
     if x.quiver != pres.quiver:
         raise ValueError("rep and presentation disagree on the quiver")
-    per_rel = {}
-    worst = 0.0
-    for i, (lhs, rhs) in enumerate(pres.relations):
-        lm = eval_path(x, lhs)
-        rm = eval_path(x, rhs)
-        res = rel_diff(lm, rm)
-        per_rel[i] = res
-        worst = max(worst, res)
-    return ResidualReport("relations", worst, tol, worst <= tol, per_rel)
+    per_rel = {
+        i: rel_diff(eval_path(x, lhs), eval_path(x, rhs))
+        for i, (lhs, rhs) in enumerate(pres.relations)
+    }
+    res = worst(per_rel.values())
+    return ResidualReport("relations", res, tol, res <= tol, per_rel)

@@ -159,6 +159,18 @@ class TestDirectionFields:
         assert direction_residual(h, back) == 0.0
         assert abs(direction_norm(h) - np.linalg.norm(vec)) < 1e-12
 
+    def test_random_direction_draws_random_rep(self):
+        x = random_sch(5)
+        h, r = random_direction(x, 11), random_rep(x.quiver, x.dims, 11)
+        for a in x.mats:
+            assert np.array_equal(h.h_mats[a], r.mats[a])
+
+    def test_residual_with_inf_on_a_later_arc_is_nan(self):
+        x = random_sch(6)
+        h = random_direction(x, 7)
+        k = DirectionField(x, {**h.h_mats, "x21": np.full((2, 3), np.inf)})
+        assert np.isnan(direction_residual(h, k))
+
     def test_arithmetic(self):
         x = random_sch(4)
         h, k = random_direction(x, 5), random_direction(x, 6)
@@ -295,6 +307,9 @@ class TestFiniteDifference:
 
     def test_order_inf_for_exact_agreement(self):
         assert observed_order([1e-4, 1e-5], [1e-15, 1e-16]) == math.inf
+
+    def test_nan_error_is_not_exact_agreement(self):
+        assert math.isnan(observed_order([1e-4, 1e-5, 1e-6], [1e-15, 1e-16, math.nan]))
 
 
 class TestDerivativeMatrix:
@@ -855,6 +870,13 @@ class TestGammaCommutation:
         got = gamma_commutation_check(f, x, y, gamma)
         assert abs(got - want) <= 1e-12
         assert got <= 1e-8
+
+    def test_gamma_shaped_for_other_reps_is_rejected(self):
+        f = worked_map()
+        x, y = random_sch(75, nu=3, nv=2), random_sch(76, nu=2, nv=3)
+        gamma = NatTrans(x, y, {"u": np.ones((2, 3)), "v": np.ones((3, 2))})
+        with pytest.raises(ValueError, match=r"gamma at 'u': shape \(2, 3\) != \(3, 2\)"):
+            gamma_commutation_check(f, x, y, gamma)
 
     def test_arcless_target_is_zero(self):
         f = FreeMapDef(sch_quiver(), Quiver(("u", "v"), ()), {})

@@ -1,11 +1,14 @@
 """Conformance harness: seeded trial plans, freeness checks, skip
 accounting, determinism, and the transpose negative control."""
 
+import math
+
 import pytest
 
 from freequiver.catalog import exp_truncated, ppt_map, sch_quiver, schur_map
 from freequiver.conformance import (
     CHECK_NAMES,
+    CheckStats,
     TrialPlan,
     run_conformance,
     trial_seed,
@@ -18,6 +21,16 @@ from freequiver.reps import Rep
 def transpose_hook(x):
     """Entrywise transpose: shape-valid on loop quivers, provably not free."""
     return Rep(x.quiver, dict(x.dims), {a: m.T.copy() for a, m in x.mats.items()})
+
+
+class TestCheckStats:
+    def test_nan_residual_fails_and_shows(self):
+        s = CheckStats()
+        s.record(0, 11, 1e-9, 1e-7)
+        s.record(1, 12, float("nan"), 1e-7)
+        assert s.failures == 1 and s.passes == 1
+        assert math.isnan(s.max_residual)
+        assert s.as_dict()["failing_seeds"] == [[1, 12]]
 
 
 class TestTrialSeed:

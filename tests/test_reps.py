@@ -179,6 +179,28 @@ class TestConjugate:
             NatAuto(x, mats)
 
 
+class TestVertexMatrixChecks:
+    def test_nat_trans_missing_vertex(self):
+        x, y = random_sch(15), random_sch(16, nu=2, nv=3)
+        with pytest.raises(ValueError, match="missing gamma at vertex 'v'"):
+            NatTrans(y, x, {"u": np.zeros((3, 2))})
+
+    def test_nat_trans_shape(self):
+        x, y = random_sch(15), random_sch(16, nu=2, nv=3)
+        with pytest.raises(ValueError, match=r"gamma at 'u': shape \(2, 3\) != \(3, 2\)"):
+            NatTrans(y, x, {"u": np.zeros((2, 3)), "v": np.zeros((2, 3))})
+
+    def test_nat_auto_missing_vertex(self):
+        x = random_sch(17)
+        with pytest.raises(ValueError, match="at vertex 'v'"):
+            NatAuto(x, {"u": np.eye(3)})
+
+    def test_nat_auto_shape(self):
+        x = random_sch(17)
+        with pytest.raises(ValueError, match=r"automorphism at 'v': shape \(3, 3\) != \(2, 2\)"):
+            NatAuto(x, {"u": np.eye(3), "v": np.eye(3)})
+
+
 class TestCheckNatTrans:
     def test_zero_gamma(self):
         x, y = random_sch(11), random_sch(12)
@@ -284,6 +306,16 @@ class TestIntertwinerSpace:
         # conjugating by it fixes s (it is natural for s), residual-checked
         as_nt = NatTrans(s, s, auto.s_mats)
         assert check_nat_trans(as_nt, tol=1e-8).passed
+
+
+class TestRepResidual:
+    def test_inf_on_a_later_arc_is_nan(self):
+        # rel_diff there is inf/inf; a fold that drops it would read 0.0
+        q = classical_embed(2)
+        x = Rep(q, {"u": 2}, {"x": np.eye(2), "y": np.full((2, 2), np.inf)})
+        y = Rep(q, {"u": 2}, {"x": np.eye(2), "y": np.eye(2)})
+        assert np.isnan(rep_residual(x, y))
+        assert np.isnan(rep_residual(y, x))
 
 
 class TestRandomRep:
