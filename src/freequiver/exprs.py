@@ -18,16 +18,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from typing import Callable, Iterable, Mapping, Union
+from typing import Callable, Iterable, Iterator, Mapping, Union
 
 import numpy as np
 
 from .errors import RegularityError, TypecheckError
-from .numerics import (
-    INVERTIBILITY_RTOL,
-    certified_inverse,
-    singular_values,
-)
+from .numerics import certified_inverse, inverse_rule
 from .quivers import (
     Path,
     Quiver,
@@ -304,17 +300,37 @@ def normalize(e: Expr) -> Expr:
     raise TypeError(f"not an expression: {e!r}")
 
 
-def has_inv(e: Expr) -> bool:
+def _children(e: Expr) -> tuple:
     match e:
-        case Inv(_, _):
-            return True
-        case Add(terms):
-            return any(has_inv(t) for t in terms)
-        case Mul(factors):
-            return any(has_inv(f) for f in factors)
-        case Scale(_, of):
-            return has_inv(of)
-    return False
+        case Add(kids) | Mul(kids):
+            return kids
+        case Scale(_, of) | Inv(of, _):
+            return (of,)
+    return ()
+
+
+def _inverse_nodes(e: Expr) -> Iterator[Inv]:
+    """e's inverse nodes, one per occurrence, each after its operand's."""
+    for k in _children(e):
+        yield from _inverse_nodes(k)
+    if isinstance(e, Inv):
+        yield e
+
+
+# deepest entry a FreeMapDef takes, in nodes from root to leaf: far above every
+# catalog map, far below where the recursive walks (hashing too) hit the limit
+_MAX_DEPTH = 200
+
+
+def _check_depth(e: Expr, entry: str) -> None:
+    """TypecheckError if e is deeper than _MAX_DEPTH. Walks level by level,
+    without recursion, keeping each distinct node once per level."""
+    level, depth = [e], 1
+    while level:
+        if depth > _MAX_DEPTH:
+            raise TypecheckError(f"entry for {entry!r} is nested deeper than {_MAX_DEPTH} levels")
+        level = list({id(k): k for n in level for k in _children(n)}.values())
+        depth += 1
 
 
 def from_path_expr(p: Path) -> Expr:
@@ -353,90 +369,61 @@ def eval_expr(e: Expr, x: Rep) -> np.ndarray:
     x may also be any object with a Rep's dims and mats whose arc matrices
     are stacked (B, m, n): numpy's products, SVDs and inverses broadcast over
     the leading axis, so one walk evaluates B points of one dimension profile.
-    Every distinct inverse node is evaluated, tested and factored once per
-    call; repeats reuse that value.
+    The walk computes every distinct inverse node once and returns repeats
+    from its memo.
 
-    An inverse node is regular when the operand's shape allows the mode
-    (square for two_sided, rows >= cols for left, cols >= rows for right) and
-    its singular values are empty or satisfy
-    sigma_min > INVERTIBILITY_RTOL * sigma_max, at every point of a stack.
-    A non-empty square two-sided operand whose computed inverse certifies
-    that rule through numerics.certified_inverse is not decomposed; any
-    other operand is decided from its singular values.
+    An inverse node is regular when numerics.inverse_rule passes its operand
+    at every point of a stack. A non-empty square two-sided operand whose
+    computed inverse certifies that rule through numerics.certified_inverse
+    is not decomposed; any other operand is decided from its singular values.
     Irregular nodes raise RegularityError (naming the node).
     """
     return _eval(e, x, None, None, {})
 
 
-def _eval(e: Expr, x: Rep, entry, diagnostics, memo: dict | None) -> np.ndarray:
-    """eval_expr's walk. memo maps inverse nodes to their values; it is None
-    on the diagnostics path, which records every occurrence of a node."""
+def _eval(e: Expr, x: Rep, entry, decisions, memo: dict) -> np.ndarray:
+    """eval_expr's walk; memo maps inverse nodes to their values. decisions,
+    when not None, maps them to (sigma_min, sigma_max, ok): each node is then
+    decided from its singular values, and a failing one is replaced by its
+    pseudo-inverse instead of raising."""
     match e:
         case Atom(arc):
             return x.mats[arc]
         case Id(vertex):
             return np.eye(x.dims[vertex], dtype=np.complex128)
         case Add(terms):
-            vals = [_eval(t, x, entry, diagnostics, memo) for t in terms]
+            vals = [_eval(t, x, entry, decisions, memo) for t in terms]
             return reduce(lambda a, b: a + b, vals)
         case Scale(k, of):
-            return k * _eval(of, x, entry, diagnostics, memo)
+            return k * _eval(of, x, entry, decisions, memo)
         case Mul(factors):
-            vals = [_eval(f, x, entry, diagnostics, memo) for f in factors]
+            vals = [_eval(f, x, entry, decisions, memo) for f in factors]
             return reduce(lambda a, b: a @ b, vals)
-        case Inv(of, mode):
-            if memo is not None and e in memo:
-                return memo[e]
-            m = _eval(of, x, entry, diagnostics, memo)
-            rows, cols = m.shape[-2:]
-            if memo is not None and mode == "two_sided" and rows == cols > 0:
-                value = certified_inverse(m)
-                if value is not None:
-                    memo[e] = value
-                    return value
-            s = singular_values(m)
-            if mode == "two_sided":
-                shape_ok = rows == cols
-                reason = (
-                    "two-sided inverse of a rectangular value"
-                    if rows != cols
-                    else "operand numerically singular"
-                )
-            elif mode == "left":
-                shape_ok = rows >= cols
-                reason = "no left inverse: operand lacks full column rank"
-            else:
-                shape_ok = cols >= rows
-                reason = "no right inverse: operand lacks full row rank"
-            if s.size:
-                smin, smax = s[..., -1], s[..., 0]
-                ok = shape_ok & (smin > INVERTIBILITY_RTOL * smax)
-            else:
-                smin = smax = 0.0
-                ok = shape_ok
-            if diagnostics is not None:
-                diagnostics.append(
-                    InvDiagnostic(entry, render_expr(e), mode, float(smin), float(smax), bool(ok))
-                )
-            if not np.all(ok):
-                if diagnostics is not None:
-                    return _pinv(m)
-                raise RegularityError(
-                    f"{reason} at {render_expr(e)}"
-                    + (f" (entry {entry!r})" if entry else ""),
-                    node=render_expr(e),
-                    entry=entry,
-                )
-            if mode != "two_sided":
-                value = _pinv(m)
-            elif rows == 0:
-                value = m.copy()
-            else:
-                value = np.linalg.inv(m)
-            if memo is not None:
-                memo[e] = value
+        case Inv(of, _):
+            value = memo.get(e)
+            if value is None:
+                m = _eval(of, x, entry, decisions, memo)
+                value = memo[e] = _invert(e, m, entry, decisions)
             return value
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _invert(e: Inv, m: np.ndarray, entry, decisions) -> np.ndarray:
+    rows, cols = m.shape[-2:]
+    if decisions is None and e.mode == "two_sided" and rows == cols > 0:
+        value = certified_inverse(m)
+        if value is not None:
+            return value
+    ok, smin, smax, reason = inverse_rule(m, e.mode)
+    if decisions is not None:
+        decisions[e] = (float(smin), float(smax), bool(ok))
+    elif not np.all(ok):
+        node = render_expr(e)
+        raise RegularityError(f"{reason} at {node}" + (f" (entry {entry!r})" if entry else ""),
+                              node=node, entry=entry)
+    if e.mode != "two_sided" or not np.all(ok):
+        return _pinv(m)
+    return m.copy() if rows == 0 else np.linalg.inv(m)
 
 
 # ---------------------------------------------------------------------------
@@ -483,6 +470,7 @@ class FreeMapDef:
         for a in self.target_quiver.arcs:
             if a.name not in self.entries:
                 raise TypecheckError(f"missing entry for target arc {a.name!r}")
+            _check_depth(self.entries[a.name], a.name)
             got = typecheck(self.entries[a.name], self.source_quiver)
             want = (self.vertex_map[a.src], self.vertex_map[a.dst])
             if got != want:
@@ -520,21 +508,23 @@ def eval_map(f: FreeMapDef, x: Rep) -> Rep:
 
 
 def eval_entries(
-    f: FreeMapDef, x: Rep, diagnostics: list[InvDiagnostic] | None = None
+    f: FreeMapDef, x: Rep, decisions: dict | None = None
 ) -> dict[str, np.ndarray]:
     """Every entry of f on x (a Rep, or stacked points as eval_expr takes),
-    in entry order. The entries share one memo, so an inverse node that
-    occurs in several of them is factored once; an entry whose value is
-    already another entry's array (a repeated inverse node, a repeated arc)
-    gets a copy, so no two entries share storage.
+    in entry order, through one walk: the entries share one memo, so an
+    inverse node that occurs in several of them is decided and factored
+    once. An entry whose value is already another entry's array (a repeated
+    inverse node, a repeated arc) gets a copy, so no two entries share
+    storage.
 
-    With a diagnostics list supplied (single points only), every inverse node
-    is decided from its singular values and recorded there, and a failing
-    one does not raise: a pseudo-inverse stands in so the scan can continue."""
-    memo = None if diagnostics is not None else {}
+    With a decisions dict supplied (single points only), every distinct
+    inverse node is decided from its singular values and its
+    (sigma_min, sigma_max, ok) stored there under the node, and a failing one
+    does not raise: a pseudo-inverse stands in so the walk can continue."""
+    memo: dict = {}
     vals: dict[str, np.ndarray] = {}
     for r, e in f.entries.items():
-        v = _eval(e, x, r, diagnostics, memo)
+        v = _eval(e, x, r, decisions, memo)
         vals[r] = v.copy() if any(v is w for w in vals.values()) else v
     return vals
 
@@ -549,11 +539,17 @@ def apply_map(f: MapLike, x: Rep) -> Rep:
 def is_regular(
     f: FreeMapDef, x: Rep
 ) -> tuple[bool, list[InvDiagnostic]]:
-    """True iff every inverse node passes its threshold at x; diagnostics
-    cover every inverse node visited (pseudo-inverses stand in after a
-    failure so later nodes still get scanned)."""
-    diags: list[InvDiagnostic] = []
-    eval_entries(f, x, diags)
+    """True iff every inverse node passes its threshold at x, and one
+    diagnostic per occurrence of an inverse node in evaluation order. One walk
+    decides each distinct node once (pseudo-inverses stand in after a failure)
+    and every occurrence of a node reports that decision."""
+    decisions: dict = {}
+    eval_entries(f, x, decisions)
+    diags = [
+        InvDiagnostic(r, render_expr(n), n.mode, *decisions[n])
+        for r, e in f.entries.items()
+        for n in _inverse_nodes(e)
+    ]
     return all(d.ok for d in diags), diags
 
 
@@ -698,7 +694,7 @@ def to_monomials(f: FreeMapDef) -> list[tuple[complex, FreeMapDef]]:
 def degree(f: FreeMapDef) -> int | float:
     """Max monomial length over the expanded entries; identity paths count as
     degree 0; math.inf when any inverse node is present."""
-    if any(has_inv(e) for e in f.entries.values()):
+    if any(True for e in f.entries.values() for _ in _inverse_nodes(e)):
         return math.inf
     best = 0
     for _, e in f.entries.items():

@@ -12,10 +12,12 @@ one place:
 * residuals fold with worst(): the largest value, 0.0 over none, and NaN
   when any value is NaN, so a residual that could not be computed fails
   every `<= tol` test instead of reading as a pass;
-* a square matrix counts as invertible iff sigma_min > 1e-10 * sigma_max. A
-  residual-certified Frobenius bound on its computed inverse may pass a
-  clearly regular operand; any operand that could fail is decided by its
-  singular values;
+* an operand has an inverse of a mode iff its shape allows it (square for
+  two_sided, rows >= cols for left, cols >= rows for right) and its singular
+  values are empty or sigma_min > 1e-10 * sigma_max (inverse_rule). A
+  residual-certified bound on a square operand's computed inverse may pass a
+  clearly regular one; any operand that could fail is decided by its singular
+  values;
 * numerical nullspaces keep singular vectors with
   sigma <= max(shape) * eps * sigma_max * 10.
 """
@@ -120,24 +122,35 @@ def singular_values(m) -> np.ndarray:
     return np.linalg.svd(a, compute_uv=False)
 
 
-def is_invertible(m) -> bool:
-    """Square matrix invertibility test: sigma_min > INVERTIBILITY_RTOL * sigma_max.
+def inverse_rule(m, mode: str = "two_sided"):
+    """(ok, sigma_min, sigma_max, reason) for an inverse of the mode of m, or
+    of each matrix of a stack (..., rows, cols): ok where the shape allows the
+    mode and the singular values are empty (both sigmas are then 0.0) or the
+    smallest exceeds INVERTIBILITY_RTOL times the largest."""
+    rows, cols = m.shape[-2:]
+    shape_ok, reason = {
+        "two_sided": (rows == cols, "operand numerically singular" if rows == cols
+                      else "two-sided inverse of a rectangular value"),
+        "left": (rows >= cols, "no left inverse: operand lacks full column rank"),
+        "right": (cols >= rows, "no right inverse: operand lacks full row rank"),
+    }[mode]
+    s = singular_values(m)
+    if not s.size:
+        return shape_ok, 0.0, 0.0, reason
+    smin, smax = s[..., -1], s[..., 0]
+    return shape_ok & (smin > INVERTIBILITY_RTOL * smax), smin, smax, reason
 
-    Zero-size square matrices count as invertible (empty product convention).
-    """
-    a = np.asarray(m)
-    if a.shape[0] != a.shape[1]:
-        return False
-    if a.shape[0] == 0:
-        return True
-    s = singular_values(a)
-    return bool(s[-1] > INVERTIBILITY_RTOL * s[0])
+
+def is_invertible(m) -> bool:
+    """inverse_rule's two-sided case for one matrix. Zero-size square
+    matrices count as invertible (empty product convention)."""
+    return bool(inverse_rule(np.asarray(m))[0])
 
 
 def certified_inverse(m) -> np.ndarray | None:
     """np.linalg.inv(m) for a stack of square matrices (..., n, n), n > 0,
-    when a residual bound shows sigma_min > INVERTIBILITY_RTOL * sigma_max at
-    every matrix; None when in doubt, for the singular values to decide.
+    when a residual bound shows that every matrix passes inverse_rule; None
+    when in doubt, for the singular values to decide.
 
     If the computed inverse X has rho = ‖I − mX‖₂ < 1, then m is invertible
     and ‖m⁻¹‖₂ ≤ ‖X‖₂ / (1 − rho) (Higham, Accuracy and Stability of

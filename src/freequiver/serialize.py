@@ -9,7 +9,9 @@ the first pass.
 
 from __future__ import annotations
 
+import cmath
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -43,15 +45,15 @@ def _scalar_to_obj(k: complex) -> list[float]:
 
 
 def _obj_to_scalar(obj: Any, where: str) -> complex:
-    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
-        return complex(obj)
-    if (
-        isinstance(obj, list)
-        and len(obj) == 2
-        and all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in obj)
-    ):
-        return complex(obj[0], obj[1])
-    raise ParseError(f"{where}: expected a scalar (number or [re, im]), got {obj!r}")
+    parts = obj if isinstance(obj, list) and len(obj) == 2 else [obj, 0]
+    if all(isinstance(p, (int, float)) and not isinstance(p, bool) for p in parts):
+        try:
+            k = complex(*parts)
+        except OverflowError:  # an integer beyond the floats
+            k = complex(math.inf)
+        if cmath.isfinite(k):
+            return k
+    raise ParseError(f"{where}: expected a finite scalar (number or [re, im]), got {obj!r}")
 
 
 def _matrix_to_obj(m: np.ndarray) -> list[list[list[float]]]:

@@ -272,6 +272,38 @@ class TestExitCodes:
         assert main(["eval", "--map", str(deep), "--dims", "u=2,v=2"]) == 2
         assert capsys.readouterr().err.startswith("error:")
 
+    @pytest.mark.parametrize("command", [
+        ["eval", "--dims", "u=2,v=2"],
+        ["derive", "--dims", "u=2,v=2"],
+        ["certify", "--dims", "u=2,v=2"],
+        ["check-free", "--dims", "u=2,v=2", "--trials", "2"],
+    ])
+    def test_expression_past_the_depth_bound_exits_2(self, command, schur_file, tmp_path,
+                                                      capsys):
+        # deep enough to stop the evaluation's recursion, not yet the parser's
+        depth = 600
+        obj = json.loads(Path(schur_file).read_text())
+        obj["entries"]["x"] = {"op": "atom", "arc": "x1"}
+        head, tail = json.dumps(obj).split('{"op": "atom", "arc": "x1"}')
+        nested = '{"op": "inv", "of": ' * depth + '{"op": "atom", "arc": "x1"}' + "}" * depth
+        deep = tmp_path / "deep.map"
+        deep.write_text(head + nested + tail)
+        assert main([command[0], "--map", str(deep), *command[1:]]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "nested deeper" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "[1, -Infinity]", "1" + "0" * 400],
+                             ids=["nan", "inf", "complex_inf", "int_beyond_floats"])
+    def test_non_finite_matrix_entry_exits_2(self, entry, schur_file, tmp_path, capsys):
+        x = random_rep(sch_quiver(), {"u": 2, "v": 2}, 5)
+        obj = json.loads(dumps(x))
+        obj["mats"]["x21"][0][0] = "@"
+        p = tmp_path / "bad.rep"
+        p.write_text(json.dumps(obj).replace('"@"', entry))
+        assert main(["eval", "--map", schur_file, "--rep", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "rep.mats.x21[0][0]: expected a finite scalar" in err
+
     def test_incomplete_dims_exits_2(self, schur_file, capsys):
         assert main(["eval", "--map", schur_file, "--dims", "u=2"]) == 2
         assert "misses vertices" in capsys.readouterr().err
@@ -477,7 +509,7 @@ class TestFuzzedDefinitions:
         how = data.draw(st.sampled_from(
             ["drop", "retype", "non_ascii", "nan", "nest_list", "nest_inv"]))
         junk = data.draw(st.sampled_from(_JUNK))
-        depth = data.draw(st.sampled_from([1, 40, 3000]))
+        depth = data.draw(st.sampled_from([1, 40, 600, 3000]))
         texts = {name: json.dumps(o) for name, o in files.items()}
         texts[target] = _mutate(obj, path, how, junk, depth)
         try:

@@ -409,7 +409,7 @@ class TestInverseNodeSharing:
 
     def test_each_distinct_inverse_node_factored_once(self, monkeypatch):
         calls = {"svd": 0, "inv": 0}
-        svd, inverse = exprs.singular_values, np.linalg.inv
+        svd, inverse = numerics.singular_values, np.linalg.inv
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -419,13 +419,59 @@ class TestInverseNodeSharing:
 
         x = random_sch(42)
         before = eval_map(block_inverse_map(), x).mats
-        monkeypatch.setattr(exprs, "singular_values", counted("svd", svd))
+        monkeypatch.setattr(numerics, "singular_values", counted("svd", svd))
         monkeypatch.setattr(np.linalg, "inv", counted("inv", inverse))
         after = eval_map(block_inverse_map(), x).mats
         # x1^-1 and (x2 - x21 x1^-1 x12)^-1, over all four entries; both are
         # clearly regular, so the residual certificate decides them unfactored
         assert calls == {"svd": 0, "inv": 2}
         assert all(np.array_equal(before[r], after[r]) for r in before)
+
+    def test_is_regular_decides_each_distinct_node_once(self, monkeypatch):
+        calls = {"svd": 0}
+        svd = numerics.singular_values
+
+        def counted(*args, **kwargs):
+            calls["svd"] += 1
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(numerics, "singular_values", counted)
+        ok, diags = is_regular(block_inverse_map(), random_sch(42))
+        # 13 occurrences of x1^-1 and (x2 - x21 x1^-1 x12)^-1
+        assert ok and len(diags) == 13 and calls == {"svd": 2}
+
+    def test_repeated_one_sided_nodes_over_a_failing_inner_node(self):
+        q = Quiver(("u", "v"), (Arc("t", "u", "v"), Arc("r", "v", "u"), Arc("s", "v", "v")))
+        target = Quiver(("u", "v"), (
+            Arc("a", "v", "u"), Arc("b", "u", "v"), Arc("c", "v", "u"), Arc("d", "v", "v"),
+        ))
+        inner = inv(Atom("s"))  # singular at the point below
+        left = inv(add(Atom("t"), mul(inner, Atom("t"))), "left")
+        right = inv(add(Atom("r"), mul(Atom("r"), inner)), "right")
+        f = FreeMapDef(q, target, {
+            "a": left, "b": right, "c": mul(left, inner), "d": add(inner, mul(Atom("t"), left)),
+        })
+        x = random_rep(q, {"u": 2, "v": 5}, 48)
+        mats = dict(x.mats)
+        mats["s"] = np.zeros((5, 5), dtype=np.complex128)
+        x = Rep(q, x.dims, mats)
+        ok, diags = is_regular(f, x)
+        want = [
+            (r, render_expr(n), n.mode, n != inner)
+            for r, e in f.entries.items() for n in inverse_occurrences(e)
+        ]
+        assert not ok and len(want) == 10
+        assert [(d.entry, d.node, d.mode, d.ok) for d in diags] == want
+        by_node = {}
+        for d in diags:
+            by_node.setdefault(d.node, set()).add((d.sigma_min, d.sigma_max, d.ok))
+        assert len(by_node) == 3 and all(len(v) == 1 for v in by_node.values())
+        # the pseudo-inverse of the zero operand is zero, so the outer operands
+        # are t and r themselves
+        for node, arc in ((left, "t"), (right, "r")):
+            s = np.linalg.svd(x.mats[arc], compute_uv=False)
+            (got,) = by_node[render_expr(node)]
+            assert np.allclose(got[:2], (s[-1], s[0]), rtol=1e-12, atol=0)
 
     def test_stacked_points_match_single_points(self):
         f = block_inverse_map()
@@ -617,6 +663,29 @@ class TestFreeMapDef:
         out = eval_map(f, x)
         assert out.dims == {"w": 4}
         assert np.array_equal(out.mats["z"], x.mats["x1"])
+
+
+    def test_depth_bound(self):
+        # inv and scale alternately around x1: depth counts every node, the
+        # atom included
+        e = Atom("x1")
+        for i in range(exprs._MAX_DEPTH - 1):
+            e = inv(e) if i % 2 else scale(2, e)
+        f = FreeMapDef(sch_quiver(), loop_quiver(), {"x": e}, {"u": "u"})
+        x = random_sch(32)
+        assert is_regular(f, x)[0]
+        assert eval_map(f, x).mats["x"].shape == (3, 3)
+        with pytest.raises(TypecheckError, match="nested deeper than 200 levels"):
+            FreeMapDef(sch_quiver(), loop_quiver(), {"x": inv(e)}, {"u": "u"})
+
+    def test_depth_bound_on_shared_subtrees(self):
+        # 2**1000 root-to-leaf paths through 1000 distinct nodes: the check
+        # walks distinct nodes, and no recursion reaches the depth
+        e = Atom("x1")
+        for _ in range(1000):
+            e = Add((e, e))
+        with pytest.raises(TypecheckError, match="nested deeper"):
+            FreeMapDef(sch_quiver(), loop_quiver(), {"x": e}, {"u": "u"})
 
 
 class TestMapAlgebra:

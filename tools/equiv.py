@@ -1,0 +1,295 @@
+"""Equivalence check: the outputs of this checkout against those of a base revision.
+
+    python tools/equiv.py --base REV [--quick] [--default-threads]
+
+Exports REV with `git archive` into a temporary directory, then runs one
+fixed corpus against that tree and against this checkout (the working tree,
+uncommitted edits included), each in its own child process that imports the
+package from the tree's src/. BLAS runs at one thread unless
+--default-threads leaves the thread variables as the caller set them. Every
+record that differs is printed; the exit status is 0 when none does, 1 when
+some do and 2 when a child fails.
+
+The corpus:
+
+* benchmark tasks: (kind, inputs, ok, verdict, digest) of every task of every
+  workload in perfbench/workloads.py (this checkout's copy, used as it is,
+  with its root set to the tree under test) over rounds 0-1 for seeds 1-2;
+* `demo NAME --format machine` for every demo at seeds 1 and 7;
+* regularity: is_regular's records (sigmas as float.hex), eval_map's image
+  bytes or its error, over the catalog maps with inverse nodes, a map
+  composed with itself, two maps with left and right inverses (one repeats
+  outer one-sided nodes over inner two-sided ones) and two random rational
+  maps inv(2I + p). Profiles include zero dimensions; points are random, are
+  scaled to 1e+-150, have one arc zeroed, or have one square arc's condition
+  number set to 5e9, 2e10 or 1e13.
+
+--quick keeps one seed and one round of the benchmark tasks and one demo
+seed; the regularity corpus is always whole. Bits depend on the machine and
+on the BLAS thread count, so both trees run on the same machine here.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import os
+import shutil
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+CHECKOUT = Path(__file__).resolve().parent.parent
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+               "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
+PROFILES = {1: [(0,), (1,), (3,), (6,)],
+            2: [(3, 2), (2, 3), (0, 2), (3, 0), (0, 0), (1, 1), (6, 4)]}
+KAPPAS = (5e9, 2e10, 1e13)
+RANDOM_POINTS = 3
+
+
+def short(value) -> str:
+    """value as text, or a digest of it when the text is long."""
+    text = value if isinstance(value, str) else repr(value)
+    if len(text) <= 48:
+        return text
+    return "blake2b:" + hashlib.blake2b(text.encode(), digest_size=12).hexdigest()
+
+
+# ---------------------------------------------------------------------------
+# The corpus, run inside a child process against one tree
+
+def bench_records(tree: Path, seeds, rounds):
+    sys.path.insert(0, str(CHECKOUT / "perfbench"))
+    import workloads
+
+    workdir = tree / ".equiv_work"
+    workdir.mkdir(exist_ok=True)
+    try:
+        for name, cls in workloads.WORKLOADS.items():
+            for seed in seeds:
+                workload = cls(tree, workdir, seed, False)
+                workload.setup()
+                for r in rounds:
+                    for pos, task in enumerate(workload.tasks(r)):
+                        out = task.run()
+                        key = f"bench/{name}/seed{seed}/round{r}/{pos}"
+                        yield key, [task.kind, task.inputs, bool(out.ok), out.verdict,
+                                    short(out.digest)]
+    finally:
+        shutil.rmtree(workdir, ignore_errors=True)
+
+
+def demo_records(seeds):
+    from freequiver.cli import DEMO_NAMES, main
+
+    for name in DEMO_NAMES:
+        for seed in seeds:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["demo", name, "--seed", str(seed), "--format", "machine"])
+            yield f"demo/{name}/seed{seed}", [code, short(out.getvalue()), err.getvalue()]
+
+
+def regularity_maps():
+    import freequiver as fq
+    from freequiver import catalog
+    from freequiver.exprs import Add, Atom, Id, Inv, Mul, Scale
+
+    sch, two_loop = catalog.sch_quiver(), fq.classical_embed(2)
+    x1, x2, x12, x21 = (Atom(a) for a in ("x1", "x2", "x12", "x21"))
+    x2_inv = Inv(x2)
+    # x12: v -> u and x21: u -> v, so a left inverse of x12 and a right
+    # inverse of x21 exist only when u is at least as large as v
+    one_sided = fq.FreeMapDef(sch, sch, {
+        "x1": Add((x1, Mul((x12, Inv(x12, "left"))))),
+        "x2": Mul((Inv(x12, "left"), x12)),
+        "x12": Mul((Inv(x21, "right"), x2_inv)),
+        "x21": Inv(Mul((x12, x2_inv)), "left"),
+    })
+    left = Inv(Add((x12, Mul((x12, x2_inv)))), "left")
+    right = Inv(Add((x21, Mul((x2_inv, x21)))), "right")
+    repeated = fq.FreeMapDef(sch, sch, {
+        "x1": Mul((x12, left)),
+        "x2": Add((x2_inv, Mul((left, x12)))),
+        "x12": Mul((right, x2_inv)),
+        "x21": Mul((x2_inv, left, right, x2_inv, left)),
+    })
+    maps = [
+        ("schur", catalog.schur_map()),
+        ("ppt_D", catalog.ppt_map("pivot_D")),
+        ("ppt_A", catalog.ppt_map("pivot_A")),
+        ("block_inverse", catalog.block_inverse_map()),
+        ("block_inverse_twice", fq.compose_maps(catalog.block_inverse_map(),
+                                                catalog.block_inverse_map())),
+        ("smw_lhs", catalog.smw_lhs_map()),
+        ("smw_rhs", catalog.smw_rhs_map()),
+        ("rational_triple", catalog.rational_triple_map()),
+        ("one_sided", one_sided),
+        ("one_sided_repeated", repeated),
+    ]
+    for seed in (3, 4):
+        p = fq.random_polynomial_map(two_loop, two_loop, seed, max_degree=2)
+        entries = {a: Inv(Add((Scale(2, Id("u")), e))) for a, e in p.entries.items()}
+        maps.append((f"rational_{seed}", fq.FreeMapDef(two_loop, two_loop, entries)))
+    return maps
+
+
+def regularity_points(q, dims):
+    import numpy as np
+    import freequiver as fq
+
+    base = fq.random_rep(q, dims, 0)
+    for seed in range(RANDOM_POINTS):
+        yield f"random{seed}", fq.random_rep(q, dims, seed)
+    for a in q.arcs:
+        mats = dict(base.mats)
+        mats[a.name] = np.zeros_like(mats[a.name])
+        yield f"zero_{a.name}", fq.Rep(q, dims, mats)
+    for scale in (1e150, 1e-150):
+        yield f"scaled{scale:g}", fq.Rep(q, dims, {a: m * scale for a, m in base.mats.items()})
+    rng = np.random.Generator(np.random.PCG64(11))
+    for a in q.arcs:
+        n = dims[a.src]
+        if a.src != a.dst or n < 2:
+            continue
+        for kappa in KAPPAS:
+            u, v = (np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+                    for _ in range(2))
+            mats = dict(base.mats)
+            mats[a.name] = (u * np.geomspace(1.0, 1.0 / kappa, n)) @ v
+            yield f"kappa{kappa:g}_{a.name}", fq.Rep(q, dims, mats)
+
+
+def outcome(fn, *args):
+    """fn(*args), or the error it raised: an error is an output too."""
+    try:
+        return fn(*args)
+    except Exception as e:  # noqa: BLE001
+        return [type(e).__name__, str(e), getattr(e, "node", None), getattr(e, "entry", None)]
+
+
+def regularity_records():
+    import numpy as np
+    import freequiver as fq
+
+    def diagnostics(f, x):
+        ok, diags = fq.is_regular(f, x)
+        return [bool(ok)] + [[d.entry, d.node, d.mode, float(d.sigma_min).hex(),
+                              float(d.sigma_max).hex(), bool(d.ok)] for d in diags]
+
+    def image(f, x):
+        mats = fq.eval_map(f, x).mats
+        h = hashlib.blake2b(digest_size=12)
+        for a in sorted(mats):
+            h.update(a.encode() + np.ascontiguousarray(mats[a]).tobytes())
+        return h.hexdigest()
+
+    for label, f in regularity_maps():
+        q = f.source_quiver
+        for profile in PROFILES[len(q.vertices)]:
+            dims = dict(zip(q.vertices, profile))
+            for point, x in regularity_points(q, dims):
+                key = f"{label}/{'x'.join(map(str, profile))}/{point}"
+                yield f"is_regular/{key}", outcome(diagnostics, f, x)
+                yield f"eval_map/{key}", outcome(image, f, x)
+
+
+def run_corpus(tree: Path, quick: bool) -> None:
+    sys.path.insert(0, str(tree / "src"))
+    import freequiver
+
+    if not Path(freequiver.__file__).resolve().is_relative_to(tree.resolve()):
+        raise ImportError(f"freequiver came from {freequiver.__file__}, not from {tree}")
+    seeds, rounds, demo_seeds = ((1,), (0,), (1,)) if quick else ((1, 2), (0, 1), (1, 7))
+    for records in (regularity_records(), demo_records(demo_seeds),
+                    bench_records(tree, seeds, rounds)):
+        for key, value in records:
+            print(json.dumps([key, value]), flush=True)
+
+
+# ---------------------------------------------------------------------------
+# The comparison
+
+def export(rev: str, into: Path) -> None:
+    done = subprocess.run(["git", "archive", "--format=tar", rev], cwd=CHECKOUT,
+                          capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(done.stdout)) as tar:
+        # the "data" filter refuses links and paths that leave the directory
+        tar.extractall(into, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+
+
+def start_child(tree: Path, out: Path, quick: bool, default_threads: bool) -> subprocess.Popen:
+    """The corpus against tree in a child process, its records written to out
+    and its errors to out with the suffix .err."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    if not default_threads:
+        env.update({var: "1" for var in THREAD_VARS})
+    argv = [sys.executable, str(Path(__file__).resolve()), "--child", str(tree)]
+    with open(out, "w") as stdout, open(out.with_suffix(".err"), "w") as stderr:
+        return subprocess.Popen(argv + (["--quick"] if quick else []), env=env, cwd=tree,
+                                stdout=stdout, stderr=stderr)
+
+
+def collect(child: subprocess.Popen, out: Path) -> dict:
+    if child.wait() != 0:
+        err = out.with_suffix(".err").read_text()
+        raise RuntimeError(f"the corpus failed on {out.stem} (exit {child.returncode}):\n{err}")
+    return dict(map(json.loads, out.read_text().splitlines()))
+
+
+def compare(base: dict, head: dict) -> list[str]:
+    lines = []
+    for key in list(base) + [k for k in head if k not in base]:
+        if base.get(key, "<absent>") != head.get(key, "<absent>"):
+            lines.append(f"{key}\n  base: {json.dumps(base.get(key, '<absent>'))}\n"
+                         f"  head: {json.dumps(head.get(key, '<absent>'))}")
+    return lines
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--base", help="git revision to compare this checkout against")
+    parser.add_argument("--quick", action="store_true",
+                        help="one seed and one round of the benchmark tasks")
+    parser.add_argument("--default-threads", action="store_true",
+                        help="leave the BLAS thread variables as they are")
+    parser.add_argument("--child", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.child:
+        run_corpus(Path(args.child), args.quick)
+        return 0
+    if not args.base:
+        parser.error("--base is required")
+    with tempfile.TemporaryDirectory(prefix="equiv-") as tmp:
+        base_tree = Path(tmp) / "base"
+        base_tree.mkdir()
+        export(args.base, base_tree)
+        outs = {name: Path(tmp) / f"{name}.jsonl" for name in ("base", "head")}
+        children = {name: start_child(tree, outs[name], args.quick, args.default_threads)
+                    for name, tree in (("base", base_tree), ("head", CHECKOUT))}
+        try:
+            results = {name: collect(child, outs[name]) for name, child in children.items()}
+        except RuntimeError as e:
+            print(e, file=sys.stderr)
+            return 2
+        finally:
+            for child in children.values():
+                if child.poll() is None:
+                    child.kill()
+                    child.wait()
+    diffs = compare(results["base"], results["head"])
+    for line in diffs:
+        print(line)
+    print(f"equiv: {len(results['head'])} records against {args.base}, "
+          f"{len(diffs)} differ")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
