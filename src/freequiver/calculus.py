@@ -51,6 +51,7 @@ from .numerics import (
     frob_norm,
     frob_norms,
     joint_frob_norm,
+    kernel,
     op_norms,
     rel_diff,
     rel_residual,
@@ -435,29 +436,12 @@ def ift_certificate(f: FreeMapDef, x: Rep, tol: float = IFT_TOL) -> IFTCertifica
     have (numerically) equal images but unit separation.
     """
     dm = derivative_matrix(f, x)
-    rows, cols = dm.matrix.shape
-    if cols == 0:
-        return IFTCertificate("full_rank", 0.0, 0.0, np.zeros(0), 0, tol)
-    if rows == 0:
-        s = np.zeros(0)
-        smin = smax = 0.0
-        kernel_dim = cols
-        vh_tail = np.eye(cols, dtype=np.complex128)
-    else:
-        try:
-            _, s, vh = np.linalg.svd(dm.matrix, full_matrices=True)
-        except np.linalg.LinAlgError:
-            # gesdd can fail to converge (seen on Jacobians with a large
-            # kernel); J = QR with Q unitary, so the triangular R has J's
-            # singular values and right singular vectors
-            _, s, vh = np.linalg.svd(np.linalg.qr(dm.matrix)[1], full_matrices=True)
-        smax = float(s[0])
-        smin = float(s[-1]) if len(s) >= cols else 0.0
-        kernel_dim = cols - int(np.sum(s > tol * smax)) if smax > 0 else cols
-        vh_tail = np.conj(vh[cols - kernel_dim:]) if kernel_dim else None
-    if kernel_dim == 0:
+    s, null = kernel(dm.matrix, tol)
+    smax = float(s[0]) if s.size else 0.0
+    smin = float(s[-1]) if 0 < dm.matrix.shape[1] <= s.size else 0.0
+    if not len(null):
         return IFTCertificate("full_rank", smin, smax, s, 0, tol)
-    h = unflatten_direction(x, vh_tail[-1])
+    h = unflatten_direction(x, null[-1])
     rep1 = block_extend(x, h)
     rep2 = direct_sum(x, x)
     img_gap = rep_distance(eval_map(f, rep1), eval_map(f, rep2))
@@ -466,8 +450,8 @@ def ift_certificate(f: FreeMapDef, x: Rep, tol: float = IFT_TOL) -> IFTCertifica
         "collision",
         smin,
         smax,
-        s if rows else np.zeros(0),
-        kernel_dim,
+        s,
+        len(null),
         tol,
         direction=h,
         rep1=rep1,

@@ -47,7 +47,7 @@ from .catalog import (
 from .conformance import TrialPlan, run_conformance
 from .errors import BlockMismatchError, ParseError, RegularityError, TypecheckError
 from .exprs import FreeMapDef, eval_map, render_expr
-from .numerics import worst
+from .numerics import op_norm, worst
 from .reps import Rep, random_rep, rep_residual
 from .serialize import parse_definition_file, rep_to_obj
 
@@ -364,8 +364,8 @@ def _demo_cbh(job: argparse.Namespace, rep: Report) -> None:
     rng = np.random.Generator(np.random.PCG64(seed))
     x0 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     y0 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    x0 /= np.linalg.norm(x0, 2)
-    y0 /= np.linalg.norm(y0, 2)
+    x0 /= op_norm(x0)
+    y0 /= op_norm(y0)
     norms = [0.1, 0.05, 0.025]
     defects = [cbh_defect(t * x0, t * y0) for t in norms]
     for t, d in zip(norms, defects):

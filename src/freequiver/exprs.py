@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Union
 import numpy as np
 
 from .errors import RegularityError, TypecheckError
-from .numerics import certified_inverse, inverse_rule
+from .numerics import certified_inverse, inverse_rule, pinv
 from .quivers import (
     Path,
     Quiver,
@@ -357,12 +357,6 @@ class InvDiagnostic:
     ok: bool
 
 
-def _pinv(m: np.ndarray) -> np.ndarray:
-    if m.size == 0:
-        return np.zeros(m.shape[:-2] + (m.shape[-1], m.shape[-2]), dtype=np.complex128)
-    return np.linalg.pinv(m)
-
-
 def eval_expr(e: Expr, x: Rep) -> np.ndarray:
     """Evaluate e on the representation x.
 
@@ -422,7 +416,7 @@ def _invert(e: Inv, m: np.ndarray, entry, decisions) -> np.ndarray:
         raise RegularityError(f"{reason} at {node}" + (f" (entry {entry!r})" if entry else ""),
                               node=node, entry=entry)
     if e.mode != "two_sided" or not np.all(ok):
-        return _pinv(m)
+        return pinv(m)
     return m.copy() if rows == 0 else np.linalg.inv(m)
 
 

@@ -18,8 +18,14 @@ one place:
   residual-certified bound on a square operand's computed inverse may pass a
   clearly regular one; any operand that could fail is decided by its singular
   values;
-* numerical nullspaces keep singular vectors with
-  sigma <= max(shape) * eps * sigma_max * 10.
+* LAPACK's SVD is called here only, and kernel is the one rank rule: the
+  rank counts the singular values above rtol * sigma_max (nullspace takes
+  rtol = max(shape) * eps * 10). When gesdd does not converge, R from m = QR,
+  which has m's singular values and right singular vectors, stands in;
+* an SVD with vectors fails on a NaN and can hang on an inf, so none gets a
+  non-finite matrix: kernel raises LinAlgError, inverse_rule fails the
+  operand with NaN sigmas and pinv gives NaN. op_norms keeps LAPACK's
+  values-only answer: LinAlgError on a NaN entry, NaN otherwise.
 """
 
 from __future__ import annotations
@@ -54,12 +60,9 @@ def op_norm(m) -> float:
 
 
 def op_norms(m) -> np.ndarray:
-    """Operator 2-norms of matrices stacked (..., rows, cols); 0.0 where an
-    axis is empty."""
-    a = np.asarray(m)
-    if a.shape[-2] == 0 or a.shape[-1] == 0:
-        return np.zeros(a.shape[:-2])
-    return np.linalg.norm(a, 2, axis=(-2, -1))
+    """Operator 2-norms of matrices stacked (..., rows, cols), bit for bit
+    np.linalg.norm(m, 2, axis=(-2, -1)); 0.0 where an axis is empty."""
+    return singular_values(m).max(-1, initial=0.0)
 
 
 def frob_norm(m) -> float:
@@ -116,17 +119,50 @@ def rel_diff(a, b):
 
 
 def singular_values(m) -> np.ndarray:
+    """Singular values of m, or of each matrix of a stack (..., rows, cols),
+    in descending order; none where an axis is empty."""
     a = np.asarray(m)
-    if a.size == 0:
-        return np.zeros(0)
+    if a.shape[-2] == 0 or a.shape[-1] == 0:
+        return np.zeros(a.shape[:-2] + (0,))
     return np.linalg.svd(a, compute_uv=False)
+
+
+def kernel(m, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """(s, basis) of a 2-d m: its singular values, descending, and the rows of
+    an orthonormal basis of its kernel: the right singular vectors past the
+    rank, which counts s > rtol * s[0]; m @ row ≈ 0. No rows: the identity."""
+    a = np.asarray(m, dtype=np.complex128)
+    if not np.isfinite(a).all():  # gesdd fails on a NaN and can hang on an inf
+        raise np.linalg.LinAlgError("kernel of a non-finite matrix")
+    if not a.size:
+        return np.zeros(0), np.eye(a.shape[1], dtype=np.complex128)
+    try:
+        _, s, vh = np.linalg.svd(a, full_matrices=True)
+    except np.linalg.LinAlgError:  # seen on Jacobians with a large kernel
+        _, s, vh = np.linalg.svd(np.linalg.qr(a)[1], full_matrices=True)
+    # rows of vh are conjugated right singular vectors
+    return s, np.conj(vh[int(np.sum(s > rtol * s[0])):])
+
+
+def nullspace(m) -> np.ndarray:
+    """kernel's basis of m at rtol = max(shape) * machine eps * 10."""
+    return kernel(m, max(np.shape(m)) * _EPS * 10.0)[1]
+
+
+def pinv(m) -> np.ndarray:
+    """Pseudo-inverse of m or of each matrix of a stack (..., rows, cols); NaN
+    throughout when an entry is not finite."""
+    if m.size and np.isfinite(m).all():
+        return np.linalg.pinv(m)
+    return np.full(m.shape[:-2] + (m.shape[-1], m.shape[-2]), np.nan, dtype=np.complex128)
 
 
 def inverse_rule(m, mode: str = "two_sided"):
     """(ok, sigma_min, sigma_max, reason) for an inverse of the mode of m, or
     of each matrix of a stack (..., rows, cols): ok where the shape allows the
     mode and the singular values are empty (both sigmas are then 0.0) or the
-    smallest exceeds INVERTIBILITY_RTOL times the largest."""
+    smallest exceeds INVERTIBILITY_RTOL times the largest. A stack holding a
+    non-finite entry fails with NaN sigmas, without an SVD."""
     rows, cols = m.shape[-2:]
     shape_ok, reason = {
         "two_sided": (rows == cols, "operand numerically singular" if rows == cols
@@ -134,6 +170,8 @@ def inverse_rule(m, mode: str = "two_sided"):
         "left": (rows >= cols, "no left inverse: operand lacks full column rank"),
         "right": (cols >= rows, "no right inverse: operand lacks full row rank"),
     }[mode]
+    if not np.isfinite(m).all():
+        return False, math.nan, math.nan, "operand not finite" if shape_ok else reason
     s = singular_values(m)
     if not s.size:
         return shape_ok, 0.0, 0.0, reason
@@ -176,21 +214,3 @@ def certified_inverse(m) -> np.ndarray | None:
             & (ab <= _COND_SHARE / INVERTIBILITY_RTOL)
         )
     return x if ok.all() else None
-
-
-def nullspace(m) -> np.ndarray:
-    """Orthonormal basis (rows) of the numerical nullspace of m: the singular
-    vectors with sigma <= max(shape) * machine eps * sigma_max * 10. The
-    m == "no constraints" case (zero rows) returns the identity basis.
-    """
-    a = np.asarray(m, dtype=np.complex128)
-    rows, cols = a.shape
-    if cols == 0:
-        return np.zeros((0, 0), dtype=np.complex128)
-    if rows == 0:
-        return np.eye(cols, dtype=np.complex128)
-    _, s, vh = np.linalg.svd(a, full_matrices=True)
-    rank = int(np.sum(s > max(a.shape) * _EPS * float(s[0]) * 10.0))
-    # rows of vh are conjugated right singular vectors; undo the conjugation so
-    # each returned row r satisfies a @ r ≈ 0
-    return np.conj(vh[rank:])

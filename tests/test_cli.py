@@ -14,6 +14,7 @@ from freequiver.catalog import (
     ppt_map,
     sch_quiver,
     schur_map,
+    smw_lhs_map,
     smw_quiver,
 )
 from freequiver.cli import main, parse_dims, parse_poly
@@ -338,6 +339,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_overflowing_inverse_operand_exits_3(self, tmp_path, capsys):
+        # a + U c V overflows at a point scaled by 1e150: a regularity error,
+        # not a numerical failure
+        f, p = tmp_path / "smw.map", tmp_path / "huge.rep"
+        dump(smw_lhs_map(), f)
+        x = random_rep(smw_quiver(), {"u": 3, "v": 2}, 0)
+        dump(Rep(x.quiver, x.dims, {a: 1e150 * m for a, m in x.mats.items()}), p)
+        with np.errstate(all="ignore"):
+            code = main(["eval", "--map", str(f), "--rep", str(p)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("regularity error: operand not finite at")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.jsonl"

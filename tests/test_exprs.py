@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from freequiver import exprs, numerics
 from freequiver.calculus import derivative_matrix, directional_derivative, random_direction
-from freequiver.catalog import block_inverse_map, ppt_map, rational_triple_map
+from freequiver.catalog import block_inverse_map, ppt_map, rational_triple_map, smw_lhs_map
 from freequiver.catalog import schur_map as catalog_schur_map
 from freequiver.errors import RegularityError, TypecheckError
 from freequiver.exprs import (
@@ -364,6 +364,38 @@ class TestRegularity:
         else:
             with pytest.raises(RegularityError):
                 eval_expr(node, x)
+
+    def test_overflowing_operand_fails_its_node(self):
+        # a + U c V overflows at a point scaled by 1e150: the node fails with
+        # NaN sigmas instead of handing the non-finite operand to LAPACK
+        f = smw_lhs_map()
+        base = random_rep(f.source_quiver, {"u": 3, "v": 2}, 0)
+        x = Rep(base.quiver, base.dims, {a: 1e150 * m for a, m in base.mats.items()})
+        with np.errstate(all="ignore"):
+            ok, diags = is_regular(f, x)
+            with pytest.raises(RegularityError) as err:
+                eval_map(f, x)
+        assert not ok and len(diags) == 1
+        assert diags[0].node == "(a + U c V)^-1" and not diags[0].ok
+        assert math.isnan(diags[0].sigma_min) and math.isnan(diags[0].sigma_max)
+        assert err.value.node == "(a + U c V)^-1"
+        assert str(err.value).startswith("operand not finite at (a + U c V)^-1")
+
+    def test_operand_with_an_inf_fails_without_an_svd(self, monkeypatch):
+        # LAPACK's SVD with vectors can hang on an inf, and the failing
+        # node's pseudo-inverse stand-in would take one
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK's SVD was called")
+
+        for name in ("svd", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+        q = loop_quiver()
+        m = np.ones((3, 3), dtype=np.complex128)
+        m[0, 0] = np.inf
+        f = FreeMapDef(q, q, {"x": add(inv(Atom("x")), Atom("x"))})
+        with np.errstate(all="ignore"):
+            ok, diags = is_regular(f, Rep(q, {"u": 3}, {"x": m}))
+        assert not ok and math.isnan(diags[0].sigma_min)
 
     def test_regularity_closed_under_direct_sum(self):
         f = schur_map()

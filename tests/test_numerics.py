@@ -1,11 +1,14 @@
-"""numerics.worst: the one fold every residual check goes through."""
+"""numerics: the one fold every residual check goes through, and the one
+module that takes SVDs."""
 
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from freequiver.numerics import worst
+from freequiver.numerics import inverse_rule, kernel, nullspace, op_norm, op_norms, pinv, worst
 
 
 class TestWorst:
@@ -33,3 +36,150 @@ class TestWorst:
 
     def test_inf_is_a_value(self):
         assert worst([1e-9, math.inf, 2e-9]) == math.inf
+
+
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _rank_deficient(seed, rows, cols, rank):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return _cplx(rng, rows, rank) @ _cplx(rng, rank, cols)
+
+
+def _span_projector(basis):
+    # basis rows r span the space; the projector onto it is sum of r r^H
+    return basis.T @ basis.conj()
+
+
+class TestOpNorms:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        batch=st.lists(st.integers(0, 3), max_size=2),
+        rows=st.integers(0, 6),
+        cols=st.integers(0, 6),
+        scale=st.sampled_from([1e-150, 1.0, 1e150]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_largest_singular_value_is_numpys_2_norm(self, batch, rows, cols, scale, seed):
+        m = scale * _cplx(np.random.Generator(np.random.PCG64(seed)), *batch, rows, cols)
+        got = op_norms(m)
+        if rows and cols:
+            want = np.linalg.norm(m, 2, axis=(-2, -1))
+        else:
+            want = np.zeros(tuple(batch))
+        assert np.shape(got) == np.shape(want)
+        assert np.array_equal(got, want)
+        if not batch:
+            assert op_norm(m) == float(want)
+
+    def test_non_finite_matrix_still_raises(self):
+        m = np.ones((3, 3), dtype=np.complex128)
+        m[1, 2] = np.nan
+        with pytest.raises(np.linalg.LinAlgError):
+            op_norms(m)
+
+
+class TestKernel:
+    def test_no_rows_is_the_identity(self):
+        s, basis = kernel(np.zeros((0, 4)), 1e-8)
+        assert s.shape == (0,)
+        assert np.array_equal(basis, np.eye(4))
+        assert np.array_equal(nullspace(np.zeros((0, 4))), np.eye(4))
+
+    def test_no_columns_is_empty(self):
+        for m in (np.zeros((3, 0)), np.zeros((0, 0))):
+            s, basis = kernel(m, 1e-8)
+            assert s.shape == (0,) and basis.shape == (0, 0)
+            assert nullspace(m).shape == (0, 0)
+
+    def test_zero_matrix_keeps_every_direction(self):
+        m = np.zeros((3, 4), dtype=np.complex128)
+        s, basis = kernel(m, 1e-8)
+        assert np.array_equal(s, np.zeros(3))
+        assert basis.shape == (4, 4)
+        assert np.allclose(basis @ basis.conj().T, np.eye(4), atol=1e-14)
+
+    @pytest.mark.parametrize("rows, cols, rank", [(5, 7, 3), (7, 5, 2), (6, 6, 5)])
+    def test_rank_deficient_matrix(self, rows, cols, rank):
+        m = _rank_deficient(rows + cols, rows, cols, rank)
+        s, basis = kernel(m, 1e-8)
+        assert np.array_equal(s, np.linalg.svd(m)[1])
+        assert basis.shape == (cols - rank, cols)
+        assert np.allclose(basis @ basis.conj().T, np.eye(cols - rank), atol=1e-13)
+        for row in basis:
+            assert np.linalg.norm(m @ row) <= 1e-12 * s[0]
+        assert np.array_equal(nullspace(m), basis)
+
+    def test_rank_counts_values_above_the_relative_cutoff(self):
+        m = np.diag([2.0, 2e-9, 0.0]).astype(np.complex128)
+        assert len(kernel(m, 1e-8)[1]) == 2
+        assert len(kernel(m, 1e-10)[1]) == 1
+
+    def test_nullspace_falls_back_through_qr(self, monkeypatch):
+        m = _rank_deficient(3, 6, 9, 4)
+        want = nullspace(m)
+        svd, failed = np.linalg.svd, []
+
+        def first_full_svd_fails(a, *args, **kwargs):
+            if kwargs.get("full_matrices") and not failed:
+                failed.append(a.shape)
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", first_full_svd_fails)
+        got = nullspace(m)
+        monkeypatch.undo()
+        assert failed == [(6, 9)]
+        assert got.shape == want.shape == (5, 9)
+        assert np.allclose(_span_projector(got), _span_projector(want), atol=1e-12)
+        for row in got:
+            assert np.linalg.norm(m @ row) <= 1e-12 * np.linalg.norm(m, 2)
+
+
+class TestNonFiniteOperands:
+    # LAPACK's SVD with vectors raises on a NaN and can hang on an inf
+    @pytest.fixture
+    def no_svd(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LAPACK's SVD was called")
+
+        for name in ("svd", "pinv"):
+            monkeypatch.setattr(np.linalg, name, refuse)
+
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_kernel_refuses_without_an_svd(self, no_svd, bad):
+        m = np.ones((3, 4), dtype=np.complex128)
+        m[0, 0] = bad
+        for fn in (lambda a: kernel(a, 1e-8), nullspace):
+            with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+                fn(m)
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf)])
+    def test_inverse_rule_fails_without_an_svd(self, no_svd, bad):
+        m = np.eye(3, dtype=np.complex128)
+        m[2, 0] = bad
+        ok, smin, smax, reason = inverse_rule(m)
+        assert ok is False and math.isnan(smin) and math.isnan(smax)
+        assert reason == "operand not finite"
+        ok, smin, smax, _ = inverse_rule(np.stack([np.eye(3), m]))
+        assert not np.any(ok) and math.isnan(smin) and math.isnan(smax)
+
+    def test_a_wrong_shape_keeps_its_reason(self, no_svd):
+        m = np.full((3, 2), np.nan, dtype=np.complex128)
+        ok, smin, _, reason = inverse_rule(m)
+        assert ok is False and math.isnan(smin)
+        assert reason == "two-sided inverse of a rectangular value"
+        assert inverse_rule(m, "left")[3] == "operand not finite"
+
+    def test_pinv_is_nan(self, no_svd):
+        m = np.ones((2, 3, 4), dtype=np.complex128)
+        m[1, 0, 0] = np.inf
+        got = pinv(m)
+        assert got.shape == (2, 4, 3) and got.dtype == np.complex128
+        assert np.isnan(got).all()
+
+    def test_pinv_of_empty_and_finite_operands(self):
+        assert pinv(np.zeros((3, 0), dtype=np.complex128)).shape == (0, 3)
+        m = _rank_deficient(5, 4, 3, 3)
+        assert np.array_equal(pinv(m), np.linalg.pinv(m))

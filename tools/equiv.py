@@ -22,7 +22,19 @@ The corpus:
   outer one-sided nodes over inner two-sided ones) and two random rational
   maps inv(2I + p). Profiles include zero dimensions; points are random, are
   scaled to 1e+-150, have one arc zeroed, or have one square arc's condition
-  number set to 5e9, 2e10 or 1e13.
+  number set to 5e9, 2e10 or 1e13;
+* calculus: the bytes of derivative_matrix and of directional_derivative
+  along a random direction, and every ift_certificate field (sigmas as
+  float.hex, the bytes of the singular values, the collision direction, rep1
+  and rep2), or the error raised, over the regularity maps, two catalog
+  polynomial maps, two random polynomial maps, a map whose vertex_map swaps
+  the vertices and a map onto a quiver without arcs, at the regularity
+  corpus's profiles and points;
+* intertwiners: the bytes of intertwiner_space bases for a point and itself,
+  a conjugate, a random point and its direct sum with another, on five
+  quivers (one without arcs);
+* conformance: run_conformance(...).as_dict() with all four checks over the
+  calculus maps at small profiles.
 
 --quick keeps one seed and one round of the benchmark tasks and one demo
 seed; the regularity corpus is always whole. Bits depend on the machine and
@@ -59,6 +71,23 @@ def short(value) -> str:
     if len(text) <= 48:
         return text
     return "blake2b:" + hashlib.blake2b(text.encode(), digest_size=12).hexdigest()
+
+
+def array_digest(*arrays) -> str:
+    import numpy as np
+
+    h = hashlib.blake2b(digest_size=12)
+    for a in arrays:
+        h.update(repr(np.shape(a)).encode() + np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def mats_digest(mats) -> str:
+    return array_digest(*(m for _, m in sorted(mats.items()))) + ":" + ",".join(sorted(mats))
+
+
+def hexed(v):
+    return None if v is None else float(v).hex()
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +204,6 @@ def outcome(fn, *args):
 
 
 def regularity_records():
-    import numpy as np
     import freequiver as fq
 
     def diagnostics(f, x):
@@ -184,11 +212,7 @@ def regularity_records():
                               float(d.sigma_max).hex(), bool(d.ok)] for d in diags]
 
     def image(f, x):
-        mats = fq.eval_map(f, x).mats
-        h = hashlib.blake2b(digest_size=12)
-        for a in sorted(mats):
-            h.update(a.encode() + np.ascontiguousarray(mats[a]).tobytes())
-        return h.hexdigest()
+        return mats_digest(fq.eval_map(f, x).mats)
 
     for label, f in regularity_maps():
         q = f.source_quiver
@@ -200,6 +224,92 @@ def regularity_records():
                 yield f"eval_map/{key}", outcome(image, f, x)
 
 
+def calculus_maps():
+    import freequiver as fq
+    from freequiver import catalog
+    from freequiver.exprs import Add, Atom, Inv, Mul
+    from freequiver.quivers import Quiver
+
+    sch = catalog.sch_quiver()
+    x1, x2, x12, x21 = (Atom(a) for a in ("x1", "x2", "x12", "x21"))
+    # the target's u is the source's v and the other way round
+    swapped = fq.FreeMapDef(sch, sch, {
+        "x1": Add((x2, Mul((x21, x1, x12)))),
+        "x2": Add((x1, Mul((x12, Inv(x2), x21)))),
+        "x12": x21,
+        "x21": Mul((x12, x2)),
+    }, {"u": "v", "v": "u"})
+    two_loop = fq.classical_embed(2)
+    return regularity_maps() + [
+        ("intertwine_demo", catalog.intertwine_demo_map()),
+        ("cbh3", catalog.cbh_truncated(3)),
+        ("swapped", swapped),
+        ("arcless_target", fq.FreeMapDef(sch, Quiver(("u", "v"), ()), {})),
+    ] + [(f"poly_{seed}", fq.random_polynomial_map(two_loop, two_loop, seed, max_degree=3))
+         for seed in (5, 6)]
+
+
+def calculus_records():
+    import freequiver as fq
+
+    def jacobian(f, x):
+        return array_digest(fq.derivative_matrix(f, x).matrix)
+
+    def derivative(f, x):
+        return mats_digest(fq.directional_derivative(f, x, fq.random_direction(x, 5)).h_mats)
+
+    def certificate(f, x):
+        c = fq.ift_certificate(f, x)
+        return [c.status, hexed(c.sigma_min), hexed(c.sigma_max),
+                array_digest(c.singular_values), c.kernel_dim, hexed(c.tol),
+                None if c.direction is None else mats_digest(c.direction.h_mats),
+                None if c.rep1 is None else mats_digest(c.rep1.mats),
+                None if c.rep2 is None else mats_digest(c.rep2.mats),
+                hexed(c.collision_residual), hexed(c.separation)]
+
+    for label, f in calculus_maps():
+        q = f.source_quiver
+        for profile in PROFILES[len(q.vertices)]:
+            dims = dict(zip(q.vertices, profile))
+            for point, x in regularity_points(q, dims):
+                key = f"{label}/{'x'.join(map(str, profile))}/{point}"
+                yield f"derivative_matrix/{key}", outcome(jacobian, f, x)
+                yield f"directional_derivative/{key}", outcome(derivative, f, x)
+                yield f"ift_certificate/{key}", outcome(certificate, f, x)
+
+
+def intertwiner_records():
+    import freequiver as fq
+    from freequiver import catalog
+    from freequiver.quivers import Quiver
+
+    def basis(x, y):
+        return [mats_digest(g.gammas) for g in fq.intertwiner_space(x, y)]
+
+    quivers = [("one_loop", fq.classical_embed(1)), ("two_loop", fq.classical_embed(2)),
+               ("sch", catalog.sch_quiver()), ("smw", catalog.smw_quiver()),
+               ("arcless", Quiver(("u", "v"), ()))]
+    for label, q in quivers:
+        for profile in PROFILES[len(q.vertices)]:
+            dims = dict(zip(q.vertices, profile))
+            x, y = fq.random_rep(q, dims, 1), fq.random_rep(q, dims, 2)
+            pairs = [("self", x, x), ("conjugate", fq.conjugate(x, fq.random_auto(x, 3)), x),
+                     ("random", x, y), ("sum", fq.direct_sum(x, y), x)]
+            for name, a, b in pairs:
+                key = f"intertwiner_space/{label}/{'x'.join(map(str, profile))}/{name}"
+                yield key, outcome(basis, a, b)
+
+
+def conformance_records():
+    import freequiver as fq
+
+    profiles = {1: [(1,), (2,)], 2: [(1, 1), (2, 1), (0, 2)]}
+    for label, f in calculus_maps():
+        q = f.source_quiver
+        plan = fq.TrialPlan(7, 4, [dict(zip(q.vertices, p)) for p in profiles[len(q.vertices)]])
+        yield f"run_conformance/{label}", outcome(lambda: fq.run_conformance(f, plan).as_dict())
+
+
 def run_corpus(tree: Path, quick: bool) -> None:
     sys.path.insert(0, str(tree / "src"))
     import freequiver
@@ -207,7 +317,8 @@ def run_corpus(tree: Path, quick: bool) -> None:
     if not Path(freequiver.__file__).resolve().is_relative_to(tree.resolve()):
         raise ImportError(f"freequiver came from {freequiver.__file__}, not from {tree}")
     seeds, rounds, demo_seeds = ((1,), (0,), (1,)) if quick else ((1, 2), (0, 1), (1, 7))
-    for records in (regularity_records(), demo_records(demo_seeds),
+    for records in (regularity_records(), calculus_records(), intertwiner_records(),
+                    conformance_records(), demo_records(demo_seeds),
                     bench_records(tree, seeds, rounds)):
         for key, value in records:
             print(json.dumps([key, value]), flush=True)
