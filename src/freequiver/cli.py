@@ -538,12 +538,13 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code or 0)
-    try:
-        if "dims" in args:
-            args.dims = parse_dims(args.dims) if args.dims else None
-        if "poly" in args:
-            args.poly = parse_poly(args.poly) if args.poly else []
-        code, text = run(args)
+    try:  # an overflowing point ends in one error line, without numpy's warnings
+        with np.errstate(all="ignore"):
+            if "dims" in args:
+                args.dims = parse_dims(args.dims) if args.dims else None
+            if "poly" in args:
+                args.poly = parse_poly(args.poly) if args.poly else []
+            code, text = run(args)
     except np.linalg.LinAlgError as e:  # a ValueError, but not a usage error
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3

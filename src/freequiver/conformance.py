@@ -1,11 +1,11 @@
 """Randomized conformance harness for freeness.
 
 Seeded trials check that a map respects direct sums and conjugation by
-natural automorphisms, that it pushes intertwiners forward, and — at
-points where the derivative certificate reports full rank — that it also
-reflects them (every intertwiner of the images comes from an intertwiner
-of the inputs).  Every trial is reproducible from (master_seed,
-trial_index, check_name) alone.
+natural automorphisms, that it pushes intertwiners x → x ⊕ x forward (a
+basis of End(x) ⊕ End(x), solved for as End(x)), and — at points where
+the derivative certificate reports full rank — that it also reflects them
+(every intertwiner of the images comes from an intertwiner of the inputs).
+Every trial is reproducible from (master_seed, trial_index, check_name) alone.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calculus import ift_certificate
-from .errors import RegularityError
+from .errors import BlockMismatchError, RegularityError
 from .exprs import FreeMapDef, MapLike, apply_map
 from .numerics import worst
 from .quivers import Quiver
@@ -197,14 +197,16 @@ def _run_cell(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
         return rep_residual(left, right)
 
     if check == "intertwine":
-        big = direct_sum(x, x)
-        basis = intertwiner_space(big, x)
-        if not basis:
+        ends = intertwiner_space(x, x)
+        if not ends:
             return None
-        f_big, f_x = apply_map(f, big), apply_map(f, x)
+        f_big, f_x = apply_map(f, direct_sum(x, x)), apply_map(f, x)
+        # Hom(x, x ⊕ x) = End(x) ⊕ End(x): [G; 0], [0; G] span it orthonormally
         return worst(
-            check_nat_trans(_push_intertwiner(f, f_big, f_x, gamma.gammas)).max_residual
-            for gamma in basis
+            check_nat_trans(_push_intertwiner(f, f_big, f_x, {
+                v: np.vstack((g, np.zeros_like(g))[::step]) for v, g in gamma.gammas.items()
+            })).max_residual
+            for gamma in ends for step in (1, -1)
         )
 
     if check == "lemma_part1":
@@ -237,9 +239,9 @@ def run_conformance(f: MapLike, plan: TrialPlan,
                     source_quiver: Quiver | None = None) -> ConformanceReport:
     """Run every planned check for every trial and fold the outcomes.
 
-    Points where an inverse fails (or where a check is not applicable) are
-    counted as skipped, never silently dropped; failures record the seed
-    that reproduces them.
+    Points where an inverse fails or a certificate's blocks break (no
+    evidence), or where a check is not applicable, are counted as skipped,
+    never silently dropped; failures record the seed that reproduces them.
     """
     q = _source_quiver(f, source_quiver)
     for p in plan.dim_profiles:
@@ -254,7 +256,7 @@ def run_conformance(f: MapLike, plan: TrialPlan,
             seed = trial_seed(plan.master_seed, idx, check)
             try:
                 residual = _run_cell(f, q, check, profile, seed)
-            except RegularityError:
+            except (RegularityError, BlockMismatchError):
                 residual = None
             report.stats[check].record(idx, seed, residual, plan.tolerance)
     report.wall_time = time.perf_counter() - start

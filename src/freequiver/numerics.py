@@ -20,8 +20,9 @@ one place:
   values;
 * LAPACK's SVD is called here only, and kernel is the one rank rule: the
   rank counts the singular values above rtol * sigma_max (nullspace takes
-  rtol = max(shape) * eps * 10). When gesdd does not converge, R from m = QR,
-  which has m's singular values and right singular vectors, stands in;
+  rtol = max(shape) * eps * 10). A strictly tall m takes the economy SVD (the
+  same Vh). When gesdd does not converge, R from m = QR, which has m's
+  singular values and right singular vectors, stands in;
 * an SVD with vectors fails on a NaN and can hang on an inf, so none gets a
   non-finite matrix: kernel raises LinAlgError, inverse_rule fails the
   operand with NaN sigmas and pinv gives NaN. op_norms keeps LAPACK's
@@ -115,7 +116,10 @@ def rel_diff(a, b):
     b = np.asarray(b)
     if a.shape[-2:] != b.shape[-2:]:
         raise ValueError(f"shape mismatch {a.shape} vs {b.shape}")
-    return rel_residual(op_norms(a - b), a, b)
+    # rel_residual's arithmetic, with the three 2-norms from one stacked call
+    raw, na, nb = op_norms(np.stack(np.broadcast_arrays(a - b, a, b)))
+    out = raw / (1.0 + (1.0 * na) * nb)
+    return float(out) if out.ndim == 0 else out
 
 
 def singular_values(m) -> np.ndarray:
@@ -137,7 +141,7 @@ def kernel(m, rtol: float) -> tuple[np.ndarray, np.ndarray]:
     if not a.size:
         return np.zeros(0), np.eye(a.shape[1], dtype=np.complex128)
     try:
-        _, s, vh = np.linalg.svd(a, full_matrices=True)
+        _, s, vh = np.linalg.svd(a, full_matrices=a.shape[0] <= a.shape[1])
     except np.linalg.LinAlgError:  # seen on Jacobians with a large kernel
         _, s, vh = np.linalg.svd(np.linalg.qr(a)[1], full_matrices=True)
     # rows of vh are conjugated right singular vectors

@@ -1,6 +1,10 @@
 """Definition-file round-trips, CLI exit codes, and report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import freequiver
 from freequiver import calculus
 from freequiver.catalog import (
     block_inverse_map,
@@ -353,6 +358,50 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("regularity error: operand not finite at")
         assert err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.fixture
+    def overflowing_eval(self, tmp_path):
+        f, p = tmp_path / "smw.map", tmp_path / "huge.rep"
+        dump(smw_lhs_map(), f)
+        x = random_rep(smw_quiver(), {"u": 3, "v": 2}, 0)
+        dump(Rep(x.quiver, x.dims, {a: 1e150 * m for a, m in x.mats.items()}), p)
+        return ["eval", "--map", str(f), "--rep", str(p)]
+
+    def test_overflow_prints_no_numpy_warning(self, overflowing_eval, capsys):
+        # no errstate here: main itself keeps numpy's warnings off stderr
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main(overflowing_eval)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("regularity error: operand not finite at")
+        assert err.count("\n") == 1
+
+    def test_overflow_under_warnings_as_errors_exits_3(self, overflowing_eval):
+        src = str(Path(freequiver.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]))
+        done = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning", "-m", "freequiver.cli",
+             *overflowing_eval], capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 3
+        assert done.stderr.startswith("regularity error: operand not finite at")
+        assert done.stderr.count("\n") == 1
+
+    def test_broken_block_structure_keeps_the_report(self, one_sided_map, tmp_path, capsys):
+        # lemma_part1's certificate raises BlockMismatchError at every X ⊕ Y:
+        # those cells are skipped, and similarity fails
+        f = tmp_path / "one_sided.map"
+        dump(one_sided_map, f)
+        code = main(["check-free", "--map", str(f), "--dims", "u=3,v=2", "--seed", "1",
+                     "--trials", "4"])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        lines = captured.out.splitlines()
+        assert any(line.startswith("FAIL similarity  executed=4 skipped=0") for line in lines)
+        assert any(line.startswith("ok   lemma_part1  executed=0 skipped=4") for line in lines)
+        assert lines[-1] == "failed"
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.jsonl"

@@ -3,8 +3,10 @@ accounting, determinism, and the transpose negative control."""
 
 import math
 
+import numpy as np
 import pytest
 
+from freequiver import calculus, conformance
 from freequiver.catalog import exp_truncated, ppt_map, sch_quiver, schur_map
 from freequiver.conformance import (
     CHECK_NAMES,
@@ -13,9 +15,17 @@ from freequiver.conformance import (
     run_conformance,
     trial_seed,
 )
-from freequiver.exprs import Atom, FreeMapDef, identity_map, inv, scale, sub
+from freequiver.exprs import (
+    Atom,
+    FreeMapDef,
+    identity_map,
+    inv,
+    random_polynomial_map,
+    scale,
+    sub,
+)
 from freequiver.quivers import classical_embed
-from freequiver.reps import Rep
+from freequiver.reps import Rep, direct_sum, intertwiner_space, random_rep
 
 
 def transpose_hook(x):
@@ -228,3 +238,94 @@ class TestRunConformance:
         # random points are almost surely regular, so skips stay rare
         for name in plan.checks:
             assert report.stats[name].executed > 0
+
+
+# the dimension profiles of the intertwine check's basis tests: zero
+# dimensions, one-by-one and the benchmark's largest size
+INTERTWINE_PROFILES = [(0, 2), (3, 0), (0, 0), (1, 1), (2, 3), (6, 4)]
+
+
+def _stacked(nat_transes):
+    """Rows: each transformation's matrices, vertex by vertex, row-major."""
+    q = sch_quiver()
+    return np.array([np.concatenate([g.gammas[v].ravel() for v in q.vertices])
+                     for g in nat_transes])
+
+
+class TestIntertwineBasis:
+    """The intertwine check takes Hom(x, x ⊕ x) as End(x) ⊕ End(x)."""
+
+    def _checked(self, monkeypatch, x):
+        """The transformations the intertwine cell checks at the point x,
+        under the identity map (which pushes them forward unchanged)."""
+        seen, check_nat_trans = [], conformance.check_nat_trans
+
+        def record(g, *args, **kwargs):
+            seen.append(g)
+            return check_nat_trans(g, *args, **kwargs)
+
+        monkeypatch.setattr(conformance, "check_nat_trans", record)
+        monkeypatch.setattr(conformance, "random_rep", lambda q, dims, seed: x)
+        residual = conformance._run_cell(identity_map(x.quiver), x.quiver, "intertwine",
+                                         dict(x.dims), 5)
+        return residual, seen
+
+    def _points(self):
+        q = sch_quiver()
+        for u, v in INTERTWINE_PROFILES:
+            yield random_rep(q, {"u": u, "v": v}, 41)
+        z = random_rep(q, {"u": 1, "v": 1}, 42)
+        yield direct_sum(z, z)  # End(z ⊕ z) is 2×2 matrices over End(z) = C
+
+    @pytest.mark.parametrize("point", range(len(INTERTWINE_PROFILES) + 1))
+    def test_embedded_basis_spans_hom_into_the_double(self, monkeypatch, point):
+        x = list(self._points())[point]
+        hom = intertwiner_space(direct_sum(x, x), x)
+        residual, seen = self._checked(monkeypatch, x)
+        if not hom:
+            assert residual is None and seen == []
+            return
+        assert len(seen) == len(hom) == 2 * len(intertwiner_space(x, x))
+        if point == len(INTERTWINE_PROFILES):
+            assert len(seen) == 8
+        got, want = _stacked(seen), _stacked(hom)
+        assert np.allclose(got @ got.conj().T, np.eye(len(seen)), atol=1e-12)
+        assert np.allclose(got.conj().T @ got, want.conj().T @ want, atol=1e-12)
+        assert residual <= 1e-12
+
+    @pytest.mark.parametrize("u, v", INTERTWINE_PROFILES)
+    def test_only_an_empty_point_skips(self, u, v):
+        q = sch_quiver()
+        plan = TrialPlan(43, 4, [{"u": u, "v": v}], checks=("intertwine",))
+        for f in (identity_map(q), random_polynomial_map(q, q, 44, max_degree=2)):
+            s = run_conformance(f, plan).stats["intertwine"]
+            assert (s.executed, s.skipped) == ((0, 4) if u == v == 0 else (4, 0))
+            assert s.failures == 0
+
+
+class TestBrokenBlocksSkip:
+    """A BlockMismatchError in lemma_part1's certificate at X ⊕ Y is no
+    injectivity evidence: the cell is skipped and the report survives."""
+
+    PLAN = dict(master_seed=1, trials=4, dim_profiles=[{"u": 3, "v": 2}, {"u": 6, "v": 4}])
+
+    def test_one_sided_map_keeps_its_report(self, one_sided_map):
+        report = run_conformance(one_sided_map, TrialPlan(**self.PLAN))
+        lemma = report.stats["lemma_part1"]
+        assert (lemma.executed, lemma.skipped) == (0, 4)
+        similarity = report.stats["similarity"]
+        assert (similarity.executed, similarity.failures) == (4, 4)
+        assert not report.passed
+        without = run_conformance(
+            one_sided_map,
+            TrialPlan(**self.PLAN, checks=("direct_sum", "similarity", "intertwine")),
+        )
+        for name in without.plan.checks:
+            assert report.stats[name].as_dict() == without.stats[name].as_dict()
+
+    def test_every_block_check_failing_skips_only_the_lemma(self, monkeypatch):
+        monkeypatch.setattr(calculus, "BLOCK_TOL", -1.0)
+        report = run_conformance(identity_map(sch_quiver()), TrialPlan(**self.PLAN))
+        assert report.stats["lemma_part1"].skipped == 4
+        for name in ("direct_sum", "similarity", "intertwine"):
+            assert report.stats[name].executed == report.stats[name].passes == 4

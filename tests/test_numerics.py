@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from freequiver.numerics import inverse_rule, kernel, nullspace, op_norm, op_norms, pinv, worst
+from freequiver.numerics import (
+    inverse_rule,
+    kernel,
+    nullspace,
+    op_norm,
+    op_norms,
+    pinv,
+    rel_diff,
+    rel_residual,
+    worst,
+)
 
 
 class TestWorst:
@@ -80,6 +90,31 @@ class TestOpNorms:
             op_norms(m)
 
 
+class TestRelDiff:
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        batch=st.lists(st.integers(1, 3), max_size=1),
+        b_stacked=st.booleans(),
+        rows=st.integers(0, 6),
+        cols=st.integers(0, 6),
+        scale=st.sampled_from([1e-20, 1.0, 1e20]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bits_of_the_separate_norms(self, batch, b_stacked, rows, cols, scale, seed):
+        # one stacked call for ‖a − b‖₂, ‖a‖₂ and ‖b‖₂, with rel_residual's
+        # arithmetic, gives the bits of three separate ones
+        rng = np.random.Generator(np.random.PCG64(seed))
+        a = scale * _cplx(rng, *batch, rows, cols)
+        b = a + scale * 1e-3 * _cplx(rng, *(batch if b_stacked else []), rows, cols)
+        got, want = rel_diff(a, b), rel_residual(op_norms(a - b), a, b)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ValueError, match="shape mismatch"):
+            rel_diff(np.zeros((2, 3)), np.zeros((3, 2)))
+
+
 class TestKernel:
     def test_no_rows_is_the_identity(self):
         s, basis = kernel(np.zeros((0, 4)), 1e-8)
@@ -135,6 +170,41 @@ class TestKernel:
         assert np.allclose(_span_projector(got), _span_projector(want), atol=1e-12)
         for row in got:
             assert np.linalg.norm(m @ row) <= 1e-12 * np.linalg.norm(m, 2)
+
+
+    def test_tall_kernel_falls_back_through_qr(self, monkeypatch):
+        # a strictly tall matrix takes the economy SVD; its fallback is the same
+        m = _rank_deficient(4, 9, 6, 4)
+        want = nullspace(m)
+        svd, failed = np.linalg.svd, []
+
+        def first_svd_with_vectors_fails(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True) and not failed:
+                failed.append((a.shape, kwargs.get("full_matrices")))
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", first_svd_with_vectors_fails)
+        got = nullspace(m)
+        monkeypatch.undo()
+        assert failed == [((9, 6), False)]
+        assert got.shape == want.shape == (2, 6)
+        assert np.allclose(_span_projector(got), _span_projector(want), atol=1e-12)
+        for row in got:
+            assert np.linalg.norm(m @ row) <= 1e-12 * np.linalg.norm(m, 2)
+
+    @pytest.mark.parametrize("rows, cols", [(9, 6), (6, 6), (6, 9)])
+    def test_economy_svd_only_when_strictly_tall(self, monkeypatch, rows, cols):
+        svd, calls = np.linalg.svd, []
+
+        def recording(a, *args, **kwargs):
+            calls.append(kwargs.get("full_matrices"))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        s, basis = kernel(_rank_deficient(5, rows, cols, 4), 1e-8)
+        assert calls == [rows <= cols]
+        assert basis.shape == (cols - 4, cols)
 
 
 class TestNonFiniteOperands:

@@ -34,7 +34,10 @@ The corpus:
   a conjugate, a random point and its direct sum with another, on five
   quivers (one without arcs);
 * conformance: run_conformance(...).as_dict() with all four checks over the
-  calculus maps at small profiles.
+  calculus maps at small profiles;
+* block tolerance: with calculus.BLOCK_TOL patched to -1 and to 1e-15, the
+  calculus outputs at one random point per profile and the conformance
+  records, which then carry BlockMismatchError messages.
 
 --quick keeps one seed and one round of the benchmark tasks and one demo
 seed; the regularity corpus is always whole. Bits depend on the machine and
@@ -62,6 +65,7 @@ THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
 PROFILES = {1: [(0,), (1,), (3,), (6,)],
             2: [(3, 2), (2, 3), (0, 2), (3, 0), (0, 0), (1, 1), (6, 4)]}
 KAPPAS = (5e9, 2e10, 1e13)
+BLOCK_TOLS = (-1.0, 1e-15)
 RANDOM_POINTS = 3
 
 
@@ -249,16 +253,18 @@ def calculus_maps():
          for seed in (5, 6)]
 
 
-def calculus_records():
+def calculus_outputs(f, x):
+    """(name, output) of derivative_matrix, directional_derivative and
+    ift_certificate at x."""
     import freequiver as fq
 
-    def jacobian(f, x):
+    def jacobian():
         return array_digest(fq.derivative_matrix(f, x).matrix)
 
-    def derivative(f, x):
+    def derivative():
         return mats_digest(fq.directional_derivative(f, x, fq.random_direction(x, 5)).h_mats)
 
-    def certificate(f, x):
+    def certificate():
         c = fq.ift_certificate(f, x)
         return [c.status, hexed(c.sigma_min), hexed(c.sigma_max),
                 array_digest(c.singular_values), c.kernel_dim, hexed(c.tol),
@@ -267,15 +273,45 @@ def calculus_records():
                 None if c.rep2 is None else mats_digest(c.rep2.mats),
                 hexed(c.collision_residual), hexed(c.separation)]
 
+    return [("derivative_matrix", outcome(jacobian)),
+            ("directional_derivative", outcome(derivative)),
+            ("ift_certificate", outcome(certificate))]
+
+
+def calculus_records():
     for label, f in calculus_maps():
         q = f.source_quiver
         for profile in PROFILES[len(q.vertices)]:
             dims = dict(zip(q.vertices, profile))
             for point, x in regularity_points(q, dims):
                 key = f"{label}/{'x'.join(map(str, profile))}/{point}"
-                yield f"derivative_matrix/{key}", outcome(jacobian, f, x)
-                yield f"directional_derivative/{key}", outcome(derivative, f, x)
-                yield f"ift_certificate/{key}", outcome(certificate, f, x)
+                for name, value in calculus_outputs(f, x):
+                    yield f"{name}/{key}", value
+
+
+def block_tol_records():
+    """The calculus outputs at one random point and run_conformance, with the
+    block-trick tolerance calculus.BLOCK_TOL patched: every block check then
+    fails (-1) or holds its exact residuals to 1e-15, so the records carry
+    BlockMismatchError messages and the residuals they print."""
+    import freequiver as fq
+    from freequiver import calculus
+
+    saved = calculus.BLOCK_TOL
+    for tol in BLOCK_TOLS:
+        for label, f in calculus_maps():
+            q = f.source_quiver
+            calculus.BLOCK_TOL = tol
+            try:
+                records = [(f"{name}/{label}/{'x'.join(map(str, profile))}", value)
+                           for profile in PROFILES[len(q.vertices)]
+                           for name, value in calculus_outputs(
+                               f, fq.random_rep(q, dict(zip(q.vertices, profile)), 0))]
+                records += conformance_records([(label, f)])
+            finally:
+                calculus.BLOCK_TOL = saved
+            for key, value in records:
+                yield f"block_tol{tol:g}/{key}", value
 
 
 def intertwiner_records():
@@ -300,14 +336,17 @@ def intertwiner_records():
                 yield key, outcome(basis, a, b)
 
 
-def conformance_records():
+def conformance_records(maps):
     import freequiver as fq
 
     profiles = {1: [(1,), (2,)], 2: [(1, 1), (2, 1), (0, 2)]}
-    for label, f in calculus_maps():
+    out = []
+    for label, f in maps:
         q = f.source_quiver
         plan = fq.TrialPlan(7, 4, [dict(zip(q.vertices, p)) for p in profiles[len(q.vertices)]])
-        yield f"run_conformance/{label}", outcome(lambda: fq.run_conformance(f, plan).as_dict())
+        out.append((f"run_conformance/{label}",
+                    outcome(lambda: fq.run_conformance(f, plan).as_dict())))
+    return out
 
 
 def run_corpus(tree: Path, quick: bool) -> None:
@@ -318,7 +357,8 @@ def run_corpus(tree: Path, quick: bool) -> None:
         raise ImportError(f"freequiver came from {freequiver.__file__}, not from {tree}")
     seeds, rounds, demo_seeds = ((1,), (0,), (1,)) if quick else ((1, 2), (0, 1), (1, 7))
     for records in (regularity_records(), calculus_records(), intertwiner_records(),
-                    conformance_records(), demo_records(demo_seeds),
+                    conformance_records(calculus_maps()), block_tol_records(),
+                    demo_records(demo_seeds),
                     bench_records(tree, seeds, rounds)):
         for key, value in records:
             print(json.dumps([key, value]), flush=True)
