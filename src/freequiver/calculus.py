@@ -10,11 +10,11 @@ numerical kernel, or an explicit collision pair constructed from a kernel
 direction), chain/Leibniz rule checks, and the nilpotent-point trick for
 reading off univariate polynomial coefficients.
 
-Block points of one base point share a dimension profile, so they are
-evaluated as one stack: the derivative matrix takes its matrix-unit
-columns in chunks of _CHUNK, each chunk one stacked evaluation of all
-entries in which every distinct inverse node is factored once, and a single
-directional derivative is the stack of one.
+Block points come from reps.block_points. Given stacked directions at one
+base point, it returns them as one stacked reps.Points, evaluated at once:
+the derivative matrix takes its matrix-unit columns in chunks of _CHUNK, each
+chunk one stacked evaluation of all entries in which every distinct inverse
+node is factored once, and a single directional derivative is the stack of one.
 
 Every block point must also reproduce f(X) on its diagonal blocks and vanish
 on its lower-left block. Since ‖A‖₂ ≤ ‖A‖_F ≤ √rank(A)·‖A‖₂, Frobenius
@@ -30,7 +30,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -47,7 +46,6 @@ from .exprs import (
     product_maps,
 )
 from .numerics import (
-    as_complex_matrix,
     frob_norm,
     frob_norms,
     joint_frob_norm,
@@ -57,8 +55,8 @@ from .numerics import (
     rel_residual,
     worst,
 )
-from .reps import (NatTrans, Rep, arc_matrices, direct_sum, random_rep, rep_distance,
-                   rep_residual, vertex_matrices)
+from .reps import (NatTrans, Rep, arc_matrices, block_points, direct_sum, random_rep,
+                   rep_distance, rep_residual, vertex_matrices)
 
 BLOCK_TOL = 1e-8
 IFT_TOL = 1e-8
@@ -156,23 +154,6 @@ def unflatten_direction(x: Rep, vec: np.ndarray) -> DirectionField:
 # ---------------------------------------------------------------------------
 # Block points
 
-def mixed_block_rep(x: Rep, y: Rep, u_mats: dict[str, np.ndarray]) -> Rep:
-    """Arc a -> [[X(a), U(a)], [0, Y(a)]] over the shared quiver; U(a) must be
-    x.dims[dst] by y.dims[src]."""
-    z = direct_sum(x, y)
-    for a in x.quiver.arcs:
-        rows, cols = x.mats[a.name].shape
-        want = (rows, y.mats[a.name].shape[1])
-        u = as_complex_matrix(u_mats[a.name])
-        if u.shape != want:
-            raise ValueError(
-                f"block at {a.name!r}: upper-right shape {u.shape} != "
-                f"{want}"
-            )
-        z.mats[a.name][:rows, cols:] = u
-    return z
-
-
 def _check_based_at(x: Rep, h: DirectionField) -> None:
     if h.base is not x and (h.base.quiver != x.quiver or h.base.dims != x.dims):
         raise ValueError("direction is based at a different point")
@@ -181,15 +162,7 @@ def _check_based_at(x: Rep, h: DirectionField) -> None:
 def block_extend(x: Rep, h: DirectionField) -> Rep:
     """The derivative's block point: arc a -> [[X(a), H(a)], [0, X(a)]]."""
     _check_based_at(x, h)
-    return mixed_block_rep(x, x, h.h_mats)
-
-
-class _Points(NamedTuple):
-    """B points of one dimension profile, each arc matrix stacked
-    (B, rows, cols): what eval_expr takes in place of a Rep."""
-
-    dims: dict[str, int]
-    mats: dict[str, np.ndarray]
+    return Rep(x.quiver, *block_points(x, x, h.h_mats))
 
 
 def _image_norms(fx: Rep) -> dict[str, float]:
@@ -250,16 +223,8 @@ def _block_derivatives(
     direction that fails, as taking them one at a time would.
     """
     batch = len(next(iter(u.values()))) if u else 1
-    mats = {}
-    for a, xm in x.mats.items():
-        rows, cols = xm.shape
-        z = np.zeros((batch, 2 * rows, 2 * cols), dtype=np.complex128)
-        z[:, :rows, :cols] = xm
-        z[:, rows:, cols:] = xm
-        z[:, :rows, cols:] = u[a]
-        mats[a] = z
     try:
-        big = eval_entries(f, _Points({v: 2 * n for v, n in x.dims.items()}, mats))
+        big = eval_entries(f, block_points(x, x, u))
     except RegularityError:
         if batch > 1:
             for b in range(batch):
@@ -524,9 +489,9 @@ def gamma_commutation_check(
         vertex_matrices(x, y, gamma.gammas, "gamma")
 
     def block_point(p: Rep, q: Rep, g) -> Rep:  # [[P, PΓ−ΓQ], [0, Q]], Γ = g per vertex
-        return mixed_block_rep(p, q, {
+        return Rep(p.quiver, *block_points(p, q, {
             a.name: p.mats[a.name] @ g[a.src] - g[a.dst] @ q.mats[a.name] for a in p.quiver.arcs
-        })
+        }))
 
     big = eval_map(f, block_point(x, y, gamma.gammas))
     image_gammas = {v: gamma.gammas[s] for v, s in f.vertex_map.items()}

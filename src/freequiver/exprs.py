@@ -360,9 +360,9 @@ class InvDiagnostic:
 def eval_expr(e: Expr, x: Rep) -> np.ndarray:
     """Evaluate e on the representation x.
 
-    x may also be any object with a Rep's dims and mats whose arc matrices
-    are stacked (B, m, n): numpy's products, SVDs and inverses broadcast over
-    the leading axis, so one walk evaluates B points of one dimension profile.
+    x may also be a reps.Points, a Rep's dims and mats with the arc matrices
+    stacked (B, m, n): numpy's products, SVDs and inverses broadcast over the
+    leading axis, so one walk evaluates B points of one dimension profile.
     The walk computes every distinct inverse node once and returns repeats
     from its memo.
 

@@ -5,13 +5,15 @@ dimension (0 allowed) and each arc a a matrix of shape dims[dst(a)] x
 dims[src(a)]. Natural transformations are per-vertex matrices making all the
 arc squares commute; the intertwiner space is computed by vectorizing all
 per-vertex unknowns into one homogeneous linear system and taking its SVD
-nullspace.
+nullspace. Every block point [[X, U], [0, Y]] (the direct sum is U = 0, the
+block trick's derivative point is [[X, H], [0, X]]) comes from block_points,
+as one point or a stack of them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -110,20 +112,50 @@ def eval_path(x: Rep, p: Path) -> np.ndarray:
     return out
 
 
-def direct_sum(x: Rep, y: Rep) -> Rep:
-    """Blockwise direct sum: dims add per vertex, arc matrices become
-    [[X(a), 0], [0, Y(a)]]."""
+class Points(NamedTuple):
+    """A Rep's dims and arc matrices, each one matrix or a stack (..., rows,
+    cols) of one dimension profile: what eval_expr takes in place of a Rep."""
+
+    dims: dict[str, int]
+    mats: dict[str, np.ndarray]
+
+
+def block_points(x: Rep, y: Rep, u: Mapping | None = None) -> Points:
+    """Arc a -> [[X(a), U(a)], [0, Y(a)]] over the shared quiver, dims summed
+    per vertex: U(a) is x.dims[dst] by y.dims[src], one matrix or a stack
+    (..., rows, cols) that stacks the blocks alike, and zero without u (the
+    direct sum). A free map's upper-right blocks at [[X, H], [0, X]] are its
+    derivative Df(X)[H]."""
     if x.quiver != y.quiver:
-        raise ValueError("direct sum needs reps over the same quiver")
+        raise ValueError("block points need reps over the same quiver")
+    extra = sorted(set(u) - set(x.mats)) if u else []
+    if extra:
+        raise ValueError(f"upper-right blocks for unknown arcs: {extra}")
     dims = {v: x.dims[v] + y.dims[v] for v in x.quiver.vertices}
     mats = {}
     for a in x.quiver.arcs:
         xm, ym = x.mats[a.name], y.mats[a.name]
-        m = np.zeros((dims[a.dst], dims[a.src]), dtype=np.complex128)
-        m[: xm.shape[0], : xm.shape[1]] = xm
-        m[xm.shape[0] :, xm.shape[1] :] = ym
+        rows, cols = xm.shape
+        if u is None:
+            m = np.zeros((dims[a.dst], dims[a.src]), dtype=np.complex128)
+        else:
+            if a.name not in u:
+                raise ValueError(f"missing upper-right block for arc {a.name!r}")
+            um, want = np.asarray(u[a.name]), (rows, ym.shape[1])
+            if um.shape[-2:] != want:
+                raise ValueError(f"block at {a.name!r}: upper-right shape {um.shape} != {want}")
+            m = np.zeros(um.shape[:-2] + (dims[a.dst], dims[a.src]), dtype=np.complex128)
+            m[..., :rows, cols:] = um
+        m[..., :rows, :cols] = xm
+        m[..., rows:, cols:] = ym
         mats[a.name] = m
-    return Rep(x.quiver, dims, mats)
+    return Points(dims, mats)
+
+
+def direct_sum(x: Rep, y: Rep) -> Rep:
+    """Blockwise direct sum: dims add per vertex, arc matrices become
+    [[X(a), 0], [0, Y(a)]]."""
+    return Rep(x.quiver, *block_points(x, y))
 
 
 def adjoint_rep(x: Rep) -> Rep:

@@ -32,7 +32,6 @@ from freequiver.calculus import (
     ift_certificate,
     leibniz_check,
     matrix_unit_direction,
-    mixed_block_rep,
     nilpotent_coefficients,
     nilpotent_matrix,
     observed_order,
@@ -68,6 +67,7 @@ from freequiver.quivers import Arc, Quiver, classical_embed, enumerate_paths
 from freequiver.reps import (
     NatTrans,
     Rep,
+    block_points,
     direct_sum,
     eval_path,
     intertwiner_space,
@@ -209,7 +209,7 @@ class TestBlockExtend:
     def test_mixed_block_shape_check(self):
         x, y = random_sch(10), random_sch(11, nu=2, nv=2)
         with pytest.raises(ValueError, match="upper-right shape"):
-            mixed_block_rep(x, y, {a: np.zeros((1, 1)) for a in x.mats})
+            block_points(x, y, {a: np.zeros((1, 1)) for a in x.mats})
 
 
 class TestDirectionalDerivative:
@@ -854,10 +854,10 @@ class TestGammaCommutation:
         g = {v: rng.standard_normal(s) + 1j * rng.standard_normal(s)
              for v, s in {"u": (3, 2), "v": (2, 3)}.items()}
         gamma = NatTrans(y, x, g)
-        big = eval_map(f, mixed_block_rep(x, y, {
+        big = eval_map(f, Rep(x.quiver, *block_points(x, y, {
             a.name: x.mats[a.name] @ g[a.src] - g[a.dst] @ y.mats[a.name]
             for a in x.quiver.arcs
-        }))
+        })))
         fx, fy = eval_map(f, x), eval_map(f, y)
         want = 0.0
         for a in f.target_quiver.arcs:

@@ -586,6 +586,29 @@ class TestFuzzedDefinitions:
             paths[name].write_text(text, encoding="utf-8")
         capsys.readouterr()
         for argv in (["eval", "--map", str(paths["map"]), "--rep", str(paths["rep"])],
-                     ["certify", "--map", str(paths["map"]), "--dims", "u=2,v=1"]):
+                     ["derive", "--map", str(paths["map"]), "--rep", str(paths["rep"])],
+                     ["certify", "--map", str(paths["map"]), "--dims", "u=2,v=1"],
+                     ["check-free", "--map", str(paths["map"]), "--dims", "u=2,v=1",
+                      "--trials", "1"]):
             assert main(argv) in (0, 1, 2, 3)
+            assert "Traceback" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scale", [1.0, 1e120, 1e300, 1e-300])
+    @pytest.mark.parametrize("label", ["schur", "ppt", "block_inverse", "poly", "cube"])
+    def test_scaled_points_fail_cleanly(self, label, scale, tmp_path, capsys):
+        # overflowing, underflowing and ordinary points: a verdict or a
+        # regularity failure, never a traceback
+        loop = classical_embed(1)
+        f = {"schur": schur_map(), "ppt": ppt_map("pivot_D"), "block_inverse": block_inverse_map(),
+             "poly": freequiver.random_polynomial_map(sch_quiver(), sch_quiver(), 8, max_degree=3),
+             "cube": FreeMapDef(loop, loop, {"x": mul(Atom("x"), Atom("x"), Atom("x"))})}[label]
+        q = f.source_quiver
+        x = random_rep(q, {"u": 3, "v": 2} if len(q.vertices) == 2 else {"u": 3}, 9)
+        map_path, rep_path = tmp_path / "f.json", tmp_path / "x.json"
+        map_path.write_text(dumps(f), encoding="utf-8")
+        rep_path.write_text(dumps(Rep(q, x.dims, {a: m * scale for a, m in x.mats.items()})),
+                            encoding="utf-8")
+        capsys.readouterr()
+        for command in ("eval", "derive", "certify"):
+            assert main([command, "--map", str(map_path), "--rep", str(rep_path)]) in (0, 1, 3)
             assert "Traceback" not in capsys.readouterr().err

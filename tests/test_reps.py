@@ -20,6 +20,7 @@ from freequiver.reps import (
     NatAuto,
     NatTrans,
     Rep,
+    block_points,
     check_nat_trans,
     check_relations,
     conjugate,
@@ -147,6 +148,62 @@ class TestDirectSum:
                 expect[xe.shape[0] :, xe.shape[1] :] = ye
                 scale = 1 + op_norm(expect)
                 assert op_norm(block - expect) <= 1e-10 * scale
+
+
+def upper_blocks(x, y, seed, lead=()):
+    """Random upper-right blocks U(a), x.dims[dst] by y.dims[src], stacked lead."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    shapes = {a.name: lead + (x.dims[a.dst], y.dims[a.src]) for a in x.quiver.arcs}
+    return {a: rng.standard_normal(s) + 1j * rng.standard_normal(s) for a, s in shapes.items()}
+
+
+class TestBlockPoints:
+    @pytest.mark.parametrize("px, py", [((0, 2), (0, 2)), ((3, 0), (3, 0)), ((0, 0), (0, 0)),
+                                        ((6, 4), (6, 4)), ((3, 2), (1, 4)), ((0, 2), (3, 0))])
+    def test_stack_matches_points_and_block_layout(self, px, py):
+        q = sch_quiver()
+        x = random_rep(q, dict(zip(q.vertices, px)), 1)
+        y = random_rep(q, dict(zip(q.vertices, py)), 2)
+        u = upper_blocks(x, y, 3, lead=(4,))
+        stacked, zero = block_points(x, y, u), block_points(x, y)
+        assert stacked.dims == zero.dims == {v: x.dims[v] + y.dims[v] for v in q.vertices}
+        total = direct_sum(x, y)
+        for a in q.arc_names():
+            xm, ym = x.mats[a], y.mats[a]
+            lower = np.zeros((ym.shape[0], xm.shape[1]))
+            want = np.block([[xm, np.zeros_like(u[a][0])], [lower, ym]])
+            assert np.array_equal(zero.mats[a], want)
+            assert np.array_equal(total.mats[a], want)
+            for b in range(4):
+                one = block_points(x, y, {k: m[b] for k, m in u.items()})
+                assert np.array_equal(stacked.mats[a][b], one.mats[a])
+                assert np.array_equal(one.mats[a], np.block([[xm, u[a][b]], [lower, ym]]))
+
+    def test_quiver_without_arcs(self):
+        q = Quiver(("u", "v"), ())
+        x, y = random_rep(q, {"u": 2, "v": 0}, 1), random_rep(q, {"u": 1, "v": 3}, 2)
+        assert block_points(x, y, {}) == ({"u": 3, "v": 3}, {})
+        assert direct_sum(x, y).dims == {"u": 3, "v": 3}
+
+    def test_missing_upper_right_block(self):
+        x, y = random_sch(1), random_sch(2, nu=1, nv=4)
+        u = upper_blocks(x, y, 3)
+        del u["x1"]
+        with pytest.raises(ValueError, match="missing upper-right block for arc 'x1'"):
+            block_points(x, y, u)
+
+    def test_unknown_upper_right_block(self):
+        x = random_sch(1)
+        u = {**upper_blocks(x, x, 3), "bogus": np.zeros((3, 2))}
+        with pytest.raises(ValueError, match=r"upper-right blocks for unknown arcs: \['bogus'\]"):
+            block_points(x, x, u)
+
+    def test_different_quivers_rejected(self):
+        x, y = random_sch(1), random_rep(classical_embed(1), {"u": 3}, 2)
+        with pytest.raises(ValueError, match="same quiver"):
+            direct_sum(x, y)
+        with pytest.raises(ValueError, match="same quiver"):
+            block_points(x, y, {})
 
 
 class TestConjugate:

@@ -7,14 +7,19 @@ fixed corpus against that tree and against this checkout (the working tree,
 uncommitted edits included), each in its own child process that imports the
 package from the tree's src/. BLAS runs at one thread unless
 --default-threads leaves the thread variables as the caller set them. Every
-record that differs is printed; the exit status is 0 when none does, 1 when
+record that differs is printed, with the path of each differing field when
+the record is JSON structure; the exit status is 0 when none does, 1 when
 some do and 2 when a child fails.
 
 The corpus:
 
-* benchmark tasks: (kind, inputs, ok, verdict, digest) of every task of every
-  workload in perfbench/workloads.py (this checkout's copy, used as it is,
-  with its root set to the tree under test) over rounds 0-1 for seeds 1-2;
+* benchmark tasks: (kind, inputs, ok, verdict, output) of every task of every
+  workload in perfbench/workloads.py (this checkout's copy, with its root
+  set to the tree under test) over rounds 0-1 for seeds 1-2. The output is
+  the task's digest, except for conformance_sweep, whose JSON report is
+  kept, and cli_roundtrip's check-free, whose machine records are kept (the
+  workloads' digest of a CLI stdout is replaced by the stdout itself), so
+  that a difference there names its field;
 * `demo NAME --format machine` for every demo at seeds 1 and 7;
 * regularity: is_regular's records (sigmas as float.hex), eval_map's image
   bytes or its error, over the catalog maps with inverse nodes, a map
@@ -33,6 +38,11 @@ The corpus:
 * intertwiners: the bytes of intertwiner_space bases for a point and itself,
   a conjugate, a random point and its direct sum with another, on five
   quivers (one without arcs);
+* block points: the dims and bytes of direct_sum, mixed_block_rep (the Rep
+  at reps.block_points(x, y, u) in a tree without it) and block_extend for
+  points x != y on the intertwiner quivers, y at x's profile and at the next
+  one, and gamma_commutation_check (float.hex) for a random gamma over the
+  calculus maps at the same pairs;
 * conformance: run_conformance(...).as_dict() with all four checks over the
   calculus maps at small profiles;
 * block tolerance: with calculus.BLOCK_TOL patched to -1 and to 1e-15, the
@@ -101,6 +111,14 @@ def bench_records(tree: Path, seeds, rounds):
     sys.path.insert(0, str(CHECKOUT / "perfbench"))
     import workloads
 
+    hash_parts = workloads.digest
+
+    def digest(*parts):  # a CLI task's stdout stays text
+        if len(parts) == 1 and isinstance(parts[0], bytes):
+            return parts[0].decode("utf-8")
+        return hash_parts(*parts)
+
+    workloads.digest = digest
     workdir = tree / ".equiv_work"
     workdir.mkdir(exist_ok=True)
     try:
@@ -111,9 +129,14 @@ def bench_records(tree: Path, seeds, rounds):
                 for r in rounds:
                     for pos, task in enumerate(workload.tasks(r)):
                         out = task.run()
+                        if name == "conformance_sweep":
+                            output = json.loads(out.digest)
+                        elif task.kind.startswith("check-free"):
+                            output = workloads._machine_records(out.digest.encode("utf-8"))
+                        else:
+                            output = short(out.digest)
                         key = f"bench/{name}/seed{seed}/round{r}/{pos}"
-                        yield key, [task.kind, task.inputs, bool(out.ok), out.verdict,
-                                    short(out.digest)]
+                        yield key, [task.kind, task.inputs, bool(out.ok), out.verdict, output]
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
 
@@ -314,18 +337,23 @@ def block_tol_records():
                 yield f"block_tol{tol:g}/{key}", value
 
 
-def intertwiner_records():
+def record_quivers():
     import freequiver as fq
     from freequiver import catalog
     from freequiver.quivers import Quiver
 
+    return [("one_loop", fq.classical_embed(1)), ("two_loop", fq.classical_embed(2)),
+            ("sch", catalog.sch_quiver()), ("smw", catalog.smw_quiver()),
+            ("arcless", Quiver(("u", "v"), ()))]
+
+
+def intertwiner_records():
+    import freequiver as fq
+
     def basis(x, y):
         return [mats_digest(g.gammas) for g in fq.intertwiner_space(x, y)]
 
-    quivers = [("one_loop", fq.classical_embed(1)), ("two_loop", fq.classical_embed(2)),
-               ("sch", catalog.sch_quiver()), ("smw", catalog.smw_quiver()),
-               ("arcless", Quiver(("u", "v"), ()))]
-    for label, q in quivers:
+    for label, q in record_quivers():
         for profile in PROFILES[len(q.vertices)]:
             dims = dict(zip(q.vertices, profile))
             x, y = fq.random_rep(q, dims, 1), fq.random_rep(q, dims, 2)
@@ -334,6 +362,50 @@ def intertwiner_records():
             for name, a, b in pairs:
                 key = f"intertwiner_space/{label}/{'x'.join(map(str, profile))}/{name}"
                 yield key, outcome(basis, a, b)
+
+
+def point_pairs(q):
+    """(key, x, y): x at each corpus profile, y != x at that profile and at
+    the next one."""
+    import freequiver as fq
+
+    profiles = PROFILES[len(q.vertices)]
+    for i, p in enumerate(profiles):
+        for other in (p, profiles[(i + 1) % len(profiles)]):
+            x = fq.random_rep(q, dict(zip(q.vertices, p)), 1)
+            y = fq.random_rep(q, dict(zip(q.vertices, other)), 2)
+            yield f"{'x'.join(map(str, p))}+{'x'.join(map(str, other))}", x, y
+
+
+def block_records():
+    import numpy as np
+    import freequiver as fq
+    from freequiver import calculus, reps
+
+    def mixed_block_rep(x, y, u):  # the Rep at reps.block_points where it is gone
+        if hasattr(calculus, "mixed_block_rep"):
+            return calculus.mixed_block_rep(x, y, u)
+        return fq.Rep(x.quiver, *reps.block_points(x, y, u))
+
+    def gaussians(shapes, seed):
+        rng = np.random.Generator(np.random.PCG64(seed))
+        return {k: rng.standard_normal(s) + 1j * rng.standard_normal(s) for k, s in shapes.items()}
+
+    def point(z):
+        return [z.dims, mats_digest(z.mats)]
+
+    for label, q in record_quivers():
+        for key, x, y in point_pairs(q):
+            u = gaussians({a.name: (x.dims[a.dst], y.dims[a.src]) for a in q.arcs}, 3)
+            yield f"direct_sum/{label}/{key}", outcome(lambda: point(fq.direct_sum(x, y)))
+            yield f"mixed_block_rep/{label}/{key}", outcome(lambda: point(mixed_block_rep(x, y, u)))
+            yield f"block_extend/{label}/{key}", outcome(
+                lambda: point(fq.block_extend(x, fq.random_direction(x, 4))))
+    for label, f in calculus_maps():
+        for key, x, y in point_pairs(f.source_quiver):
+            gamma = fq.NatTrans(y, x, gaussians({v: (x.dims[v], y.dims[v]) for v in x.dims}, 5))
+            yield f"gamma_commutation_check/{label}/{key}", outcome(
+                lambda: hexed(fq.gamma_commutation_check(f, x, y, gamma)))
 
 
 def conformance_records(maps):
@@ -357,7 +429,7 @@ def run_corpus(tree: Path, quick: bool) -> None:
         raise ImportError(f"freequiver came from {freequiver.__file__}, not from {tree}")
     seeds, rounds, demo_seeds = ((1,), (0,), (1,)) if quick else ((1, 2), (0, 1), (1, 7))
     for records in (regularity_records(), calculus_records(), intertwiner_records(),
-                    conformance_records(calculus_maps()), block_tol_records(),
+                    block_records(), conformance_records(calculus_maps()), block_tol_records(),
                     demo_records(demo_seeds),
                     bench_records(tree, seeds, rounds)):
         for key, value in records:
@@ -394,12 +466,26 @@ def collect(child: subprocess.Popen, out: Path) -> dict:
     return dict(map(json.loads, out.read_text().splitlines()))
 
 
+def field_diffs(base, head, path=""):
+    """(path, base value, head value) for every field where two JSON values
+    differ; values compare as JSON text, so equal NaNs are equal."""
+    if isinstance(base, dict) and isinstance(head, dict):
+        for k in list(base) + [k for k in head if k not in base]:
+            yield from field_diffs(base.get(k, "<absent>"), head.get(k, "<absent>"), f"{path}/{k}")
+    elif isinstance(base, list) and isinstance(head, list) and len(base) == len(head):
+        for i, (b, h) in enumerate(zip(base, head)):
+            yield from field_diffs(b, h, f"{path}/{i}")
+    elif json.dumps(base) != json.dumps(head):
+        yield path, base, head
+
+
 def compare(base: dict, head: dict) -> list[str]:
     lines = []
     for key in list(base) + [k for k in head if k not in base]:
-        if base.get(key, "<absent>") != head.get(key, "<absent>"):
-            lines.append(f"{key}\n  base: {json.dumps(base.get(key, '<absent>'))}\n"
-                         f"  head: {json.dumps(head.get(key, '<absent>'))}")
+        diffs = list(field_diffs(base.get(key, "<absent>"), head.get(key, "<absent>")))
+        if diffs:
+            lines.append(key + "".join(f"\n  {path or '.'}\n    base: {json.dumps(b)}\n"
+                                       f"    head: {json.dumps(h)}" for path, b, h in diffs))
     return lines
 
 
