@@ -17,12 +17,12 @@ chunk one stacked evaluation of all entries in which every distinct inverse
 node is factored once, and a single directional derivative is the stack of one.
 
 Every block point must also reproduce f(X) on its diagonal blocks and vanish
-on its lower-left block. Since ‖A‖₂ ≤ ‖A‖_F ≤ √rank(A)·‖A‖₂, Frobenius
-norms bound those residuals from above, with ‖f(X)‖₂ bounded from below by
-‖f(X)‖_F / √min(rows, cols) (taken once per call); a point whose bounds sit
-well inside BLOCK_TOL passes without a singular value decomposition, and only
-the points that could fail take the exact 2-norm residuals. The verdicts and
-error messages are those of the exact residuals alone.
+on its lower-left block. Each of those residuals is a 2-norm over 1 + a
+nonnegative term, so the Frobenius norm of its numerator bounds it from
+above: a point whose three numerators sit within half of BLOCK_TOL passes
+without a singular value decomposition, and only the points that could fail
+take the exact 2-norm residuals. The verdicts and error messages are those
+of the exact residuals alone.
 """
 
 from __future__ import annotations
@@ -46,7 +46,6 @@ from .exprs import (
     product_maps,
 )
 from .numerics import (
-    frob_norm,
     frob_norms,
     joint_frob_norm,
     kernel,
@@ -65,9 +64,9 @@ IFT_TOL = 1e-8
 # numpy allocations peak at ~30 MB in one chunk and ~5.5 MB in chunks of 32,
 # and no size tried between 8 and 400 was consistently faster than 32.
 _CHUNK = 32
-# A block point passes its block checks on Frobenius bounds alone when every
-# bound is at most this share of BLOCK_TOL (see _screen_bounds); the rest of
-# the share absorbs rounding in the Frobenius and the 2-norms.
+# A block point passes its block checks on Frobenius norms alone when the
+# norm of every residual's numerator is at most this share of BLOCK_TOL; the
+# rest of the share absorbs rounding in the Frobenius and the 2-norms.
 _SCREEN = 0.5
 # observed_order's error floor; errors all below it mean an exact derivative
 _ORDER_FLOOR = 1e-12
@@ -165,62 +164,24 @@ def block_extend(x: Rep, h: DirectionField) -> Rep:
     return Rep(x.quiver, *block_points(x, x, h.h_mats))
 
 
-def _image_norms(fx: Rep) -> dict[str, float]:
-    """A lower bound on ‖f(X)‖₂ per target arc, for the block-check screen:
-    ‖f(X)‖_F / √min(rows, cols), shaved by more than the rounding of the
-    Frobenius norm can add; 0.0 where an axis is empty, NaN where f(X) is not
-    finite, so that every block point there takes the exact checks."""
-    eps = np.finfo(float).eps
-    return {
-        a: frob_norm(m) / math.sqrt(max(min(m.shape), 1)) * (1 - 2 * (m.size + 2) * eps)
-        if np.isfinite(m).all()
-        else math.nan
-        for a, m in fx.mats.items()
-    }
-
-
-def _screen_bounds(
-    base: np.ndarray, s: float, tl: np.ndarray, br: np.ndarray, bl: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Upper bounds, per matrix of the stacks, on the three block residuals
-    rel_diff(tl, base), rel_diff(br, base) and rel_residual(‖bl‖₂, big) of
-    the block points big = [[tl, *], [bl, br]], from Frobenius norms and
-    s ≤ ‖base‖₂ alone (the bounds only grow as s shrinks).
-
-    With d = ‖tl − base‖_F ≥ ‖tl − base‖₂, the reverse triangle inequality
-    gives ‖tl‖₂ ≥ s − d, and ‖big‖₂ is at least ‖tl‖₂ and ‖br‖₂. The lower
-    bounds take s/2 − d in place of s − d: when d is close to s, s − d is
-    a rounding residue that can exceed the true difference, while s/2 − d
-    stays below it however the two norms round."""
-    d1 = frob_norms(tl - base)
-    d2 = frob_norms(br - base)
-    lo1 = np.maximum(s / 2 - d1, 0.0)
-    lo2 = np.maximum(s / 2 - d2, 0.0)
-    return (
-        d1 / (1.0 + s * lo1),
-        d2 / (1.0 + s * lo2),
-        frob_norms(bl) / (1.0 + np.maximum(lo1, lo2)),
-    )
-
-
 def _block_derivatives(
     f: FreeMapDef,
     x: Rep,
     fx: Rep,
-    fx_norms: dict[str, float],
     u: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Df(X)[H_b] per target arc, stacked (B, rows, cols), for the directions
     u (arc -> (B, rows, cols)), read off one stacked evaluation at the block
-    points [[X, H_b], [0, X]]; fx_norms is _image_norms(fx).
+    points [[X, H_b], [0, X]].
 
     Each point is held to the single-point checks: every inverse node's
     threshold on its doubled operand, and diagonal blocks that reproduce f(X)
     with a vanishing lower-left block (BlockMismatchError otherwise). A point
-    whose _screen_bounds are all within _SCREEN·BLOCK_TOL passes the latter
-    without a singular value decomposition; every other point (non-finite
-    ones included) takes the exact 2-norm residuals. Errors name the first
-    direction that fails, as taking them one at a time would.
+    where ‖tl − f(X)‖_F, ‖br − f(X)‖_F and ‖bl‖_F are all within
+    _SCREEN·BLOCK_TOL passes the latter without a singular value
+    decomposition; every other point (non-finite ones included) takes the
+    exact 2-norm residuals. Errors name the first direction that fails, as
+    taking them one at a time would.
     """
     batch = len(next(iter(u.values()))) if u else 1
     try:
@@ -228,9 +189,7 @@ def _block_derivatives(
     except RegularityError:
         if batch > 1:
             for b in range(batch):
-                _block_derivatives(
-                    f, x, fx, fx_norms, {a: m[b:b + 1] for a, m in u.items()}
-                )
+                _block_derivatives(f, x, fx, {a: m[b:b + 1] for a, m in u.items()})
         raise
     out = {}
     worsts = []
@@ -241,8 +200,8 @@ def _block_derivatives(
             z = np.repeat(z[None], batch, axis=0)
         tl, bl, br = z[:, :m, :n], z[:, m:, :n], z[:, m:, n:]
         base = fx.mats[a.name]
-        bounds = _screen_bounds(base, fx_norms[a.name], tl, br, bl)
-        doubt = ~np.all([b <= _SCREEN * BLOCK_TOL for b in bounds], axis=0)
+        doubt = ~np.all([frob_norms(r) <= _SCREEN * BLOCK_TOL
+                         for r in (tl - base, br - base, bl)], axis=0)
         w = np.zeros(batch)  # a screened point's residuals are within BLOCK_TOL
         if doubt.any():
             zd = z[doubt]
@@ -281,9 +240,7 @@ def directional_derivative(
     is not free or the point is effectively irregular)."""
     fx = eval_map(f, x)
     _check_based_at(x, h)
-    tr = _block_derivatives(
-        f, x, fx, _image_norms(fx), {a: m[None] for a, m in h.h_mats.items()}
-    )
+    tr = _block_derivatives(f, x, fx, {a: m[None] for a, m in h.h_mats.items()})
     return DirectionField(fx, {a: m[0] for a, m in tr.items()})
 
 
@@ -352,7 +309,6 @@ def derivative_matrix(
     checks as directional_derivative, and the matrix is the one that column
     by column evaluation gives."""
     fx = eval_map(f, x)
-    fx_norms = _image_norms(fx)
     slots, image_slots = direction_slots(x), direction_slots(fx)
     n_rows, n_cols = (sum(r * c for _, r, c, _ in s) for s in (image_slots, slots))
     matrix = np.zeros((n_rows, n_cols), dtype=np.complex128)
@@ -365,7 +321,7 @@ def derivative_matrix(
             arc: units[:, offset:offset + rows * cols].reshape(batch, rows, cols)
             for arc, rows, cols, offset in slots
         }
-        tr = _block_derivatives(f, x, fx, fx_norms, u)
+        tr = _block_derivatives(f, x, fx, u)
         if n_rows:
             matrix[:, start:stop] = np.concatenate(
                 [tr[a].reshape(batch, rows * cols) for a, rows, cols, _ in image_slots],

@@ -213,7 +213,9 @@ def cmd_derive(job: argparse.Namespace, rep: Report) -> int:
     seed = resolve_seed(job.seed)
     h = random_direction(x, seed + 1)
     dd = directional_derivative(f, x, h)
-    fd = finite_difference(f, x, h, FD_EPS)
+    s = max((np.abs(m).max(initial=0.0) for m in x.mats.values()), default=0.0)
+    eps = FD_EPS * (float(s) or 1.0)  # relative, so that X + eps H != X at any scale
+    fd = finite_difference(f, x, h, eps)
     residual = direction_residual(dd, fd)
     tol = job.tol if job.tol is not None else FD_PASS_TOL
     for a in f.target_quiver.arcs:
@@ -224,7 +226,7 @@ def cmd_derive(job: argparse.Namespace, rep: Report) -> int:
             frobenius_norm=float(np.linalg.norm(dd.h_mats[a.name])),
         )
         rep.lines.append(_fmt_matrix(dd.h_mats[a.name]))
-    ok = rep.check("finite_difference", residual, tol, eps=FD_EPS)
+    ok = rep.check("finite_difference", residual, tol, eps=eps)
     return 0 if ok else 1
 
 

@@ -60,11 +60,11 @@ def _matrix_to_obj(m: np.ndarray) -> list[list[list[float]]]:
     return [[_scalar_to_obj(e) for e in row] for row in np.asarray(m)]
 
 
-def _obj_to_matrix(obj: Any, where: str) -> np.ndarray:
+def _obj_to_matrix(obj: Any, where: str, empty_cols: int) -> np.ndarray:
     if not isinstance(obj, list) or not all(isinstance(r, list) for r in obj):
         raise ParseError(f"{where}: expected a row-major list of rows")
     rows = len(obj)
-    cols = len(obj[0]) if rows else 0
+    cols = len(obj[0]) if rows else empty_cols
     if any(len(r) != cols for r in obj):
         raise ParseError(f"{where}: ragged rows")
     out = np.zeros((rows, cols), dtype=np.complex128)
@@ -140,10 +140,10 @@ def obj_to_rep(obj: Any, where: str = "rep") -> Rep:
         dims[v] = d
     if not isinstance(mats_obj, dict):
         raise ParseError(f"{where}.mats: expected an object")
-    mats = {
-        name: _obj_to_matrix(m, f"{where}.mats.{name}") for name, m in mats_obj.items()
-    }
-    try:
+    cols = {a.name: dims.get(a.src, 0) for a in q.arcs}  # [] has no row to count columns by
+    try:  # np.zeros refuses a 0 x cols matrix with too large a cols
+        mats = {name: _obj_to_matrix(m, f"{where}.mats.{name}", cols.get(name, 0))
+                for name, m in mats_obj.items()}
         return Rep(q, dims, mats)
     except ValueError as e:
         raise ParseError(f"{where}: {e}") from e

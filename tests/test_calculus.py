@@ -6,7 +6,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -556,7 +555,7 @@ class TestBlockCheckScreen:
             base = _cplx(rng, rows, 1) @ _cplx(rng, 1, cols) * size
         else:
             base = _cplx(rng, rows, cols) * size
-        # zero: diagonal blocks of 0, where ‖tl − base‖_F ≈ ‖base‖₂
+        # zero: diagonal blocks of 0, where ‖tl − base‖_F ≈ ‖base‖_F
         gap = {"equal": 0.0, "near": 10.0 ** gap_exp, "far": 1.0, "zero": 0.0}[blocks]
         tl, br = (gap * size * _cplx(rng, batch, rows, cols) for _ in range(2))
         if blocks != "zero":
@@ -567,21 +566,46 @@ class TestBlockCheckScreen:
             [np.concatenate([tl, tr], axis=2), np.concatenate([bl, br], axis=2)],
             axis=1,
         )
-        bounds = calculus._screen_bounds(base, op_norm(base), tl, br, bl)
+        # the Frobenius norms of the numerators, which _block_derivatives screens
+        bounds = (frob_norms(tl - base), frob_norms(br - base), frob_norms(bl))
         exact = (
             rel_diff(tl, base),
             rel_diff(br, base),
             rel_residual(op_norms(bl), big),
         )
         for bound, value in zip(bounds, exact):
-            # equal up to rounding where the blocks are rank one and tiny
+            # equal up to rounding where a block is rank one and its
+            # denominator rounds to 1
             assert np.all(value <= bound * (1 + 1e-12))
-        # the lower bound on ‖base‖₂ that derivative_matrix screens with
-        s = calculus._image_norms(SimpleNamespace(mats={"a": base}))["a"]
-        assert s <= op_norm(base)
-        bounds = calculus._screen_bounds(base, s, tl, br, bl)
-        for bound, value in zip(bounds, exact):
-            assert np.all(value <= bound * (1 + 1e-12))
+
+    @pytest.mark.parametrize("block_tol", [calculus.BLOCK_TOL, 1e-15])
+    @pytest.mark.parametrize("scale", [1.0, 1e4])
+    def test_screen_never_changes_an_outcome(self, scale, block_tol, monkeypatch):
+        # with _SCREEN at -1 no point passes on Frobenius norms, so every
+        # block check takes the exact 2-norm residuals; at 1e-15 some maps
+        # fail their block checks and the error texts are compared
+        monkeypatch.setattr(calculus, "BLOCK_TOL", block_tol)
+
+        def outcome(f, x):
+            try:
+                return derivative_matrix(f, x).matrix
+            except BlockMismatchError as e:
+                return str(e)
+
+        for name in sorted(CATALOG_MAPS):
+            f = CATALOG_MAPS[name]()
+            q = f.source_quiver
+            x = random_rep(q, dict(zip(q.vertices, (3, 2))), 56)
+            x = Rep(q, x.dims, {a: scale * m for a, m in x.mats.items()})
+            screened = outcome(f, x)
+            with monkeypatch.context() as patch:
+                patch.setattr(calculus, "_SCREEN", -1.0)
+                exact = outcome(f, x)
+            assert type(screened) is type(exact), name
+            if isinstance(exact, str):
+                assert screened == exact, name
+            else:
+                assert np.array_equal(screened, exact), name
 
 
 def _schur_closed_form(x, h):

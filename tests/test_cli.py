@@ -22,9 +22,9 @@ from freequiver.catalog import (
     smw_lhs_map,
     smw_quiver,
 )
-from freequiver.cli import main, parse_dims, parse_poly
+from freequiver.cli import FD_EPS, main, parse_dims, parse_poly
 from freequiver.errors import ParseError, TypecheckError
-from freequiver.exprs import Atom, FreeMapDef, ProductSpec, mul
+from freequiver.exprs import Atom, FreeMapDef, ProductSpec, eval_map, mul
 from freequiver.quivers import Quiver, classical_embed
 from freequiver.reps import Rep, random_rep
 from freequiver.serialize import (
@@ -63,6 +63,34 @@ class TestSerializeRoundTrip:
         assert dumps(again) == text
         for a in x.quiver.arc_names():
             np.testing.assert_array_equal(x.mats[a], again.mats[a])
+
+    @pytest.mark.parametrize("profile", [(0, 0), (0, 1), (1, 0), (0, 3), (3, 0)])
+    @pytest.mark.parametrize("make", [sch_quiver, smw_quiver])
+    def test_rep_with_a_zero_dimension(self, make, profile):
+        # an arc without rows writes as []; its columns come from its source
+        q = make()
+        x = random_rep(q, dict(zip(q.vertices, profile)), 1)
+        text = dumps(x)
+        again = loads(text)
+        assert again.dims == x.dims
+        assert dumps(again) == text
+        for a in q.arc_names():
+            assert again.mats[a].shape == x.mats[a].shape
+            np.testing.assert_array_equal(x.mats[a], again.mats[a])
+
+    def test_eval_at_a_point_with_an_empty_row_arc(self, tmp_path, capsys):
+        f = block_inverse_map()
+        x = random_rep(sch_quiver(), {"u": 0, "v": 3}, 1)
+        map_path, rep_path = tmp_path / "f.json", tmp_path / "x.json"
+        dump(f, map_path)
+        dump(x, rep_path)
+        capsys.readouterr()
+        assert main(["eval", "--map", str(map_path), "--rep", str(rep_path),
+                     "--format", "machine"]) == 0
+        image, want = loads(capsys.readouterr().out), eval_map(f, x)
+        assert image.dims == want.dims
+        for a, m in want.mats.items():
+            np.testing.assert_array_equal(image.mats[a], m)
 
     def test_map_idempotent_after_one_pass(self, schur_file):
         text = Path(schur_file).read_text()
@@ -225,6 +253,24 @@ class TestExitCodes:
     def test_derive_ok(self, schur_file):
         assert main(["derive", "--map", schur_file, "--dims", "u=3,v=2",
                      "--seed", "4"]) == 0
+
+    @pytest.mark.parametrize("scale", [1e120, 1e-3])
+    @pytest.mark.parametrize("make", [schur_map, lambda: ppt_map("pivot_D")],
+                             ids=["schur", "ppt_D"])
+    def test_derive_step_follows_the_scale(self, make, scale, tmp_path, capsys):
+        # a fixed step vanishes next to a large point and swamps a small one;
+        # the step is FD_EPS times the point's largest entry modulus
+        x = random_rep(sch_quiver(), {"u": 3, "v": 2}, 9)
+        x = Rep(x.quiver, x.dims, {a: scale * m for a, m in x.mats.items()})
+        map_path, rep_path = tmp_path / "f.json", tmp_path / "x.json"
+        dump(make(), map_path)
+        dump(x, rep_path)
+        capsys.readouterr()
+        assert main(["derive", "--map", str(map_path), "--rep", str(rep_path),
+                     "--seed", "9", "--format", "machine"]) == 0
+        check = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert check["name"] == "finite_difference" and check["passed"]
+        assert check["eps"] == FD_EPS * max(np.abs(m).max() for m in x.mats.values())
 
     def test_certify_collision_exits_1(self, schur_file, capsys):
         code = main(["certify", "--map", schur_file, "--dims", "u=3,v=2",

@@ -43,6 +43,12 @@ The corpus:
   points x != y on the intertwiner quivers, y at x's profile and at the next
   one, and gamma_commutation_check (float.hex) for a random gamma over the
   calculus maps at the same pairs;
+* serialization: the dims and bytes of loads(dumps(x)), or its error, for a
+  random point at every corpus profile with a zero dimension on the same
+  quivers;
+* derive: `derive --seed 9 --format machine` (exit code, records, stderr) for
+  schur, ppt_D, block_inverse and a random polynomial map at a 3/2 point
+  scaled by 1, 1e-3 and 1e120;
 * conformance: run_conformance(...).as_dict() with all four checks over the
   calculus maps at small profiles;
 * block tolerance: with calculus.BLOCK_TOL patched to -1 and to 1e-15, the
@@ -408,6 +414,46 @@ def block_records():
                 lambda: hexed(fq.gamma_commutation_check(f, x, y, gamma)))
 
 
+def round_trip_records():
+    import freequiver as fq
+
+    def round_trip(x):
+        y = fq.loads(fq.dumps(x))
+        return [y.dims, mats_digest(y.mats)]
+
+    for label, q in record_quivers():
+        for profile in PROFILES[len(q.vertices)]:
+            if 0 in profile:
+                x = fq.random_rep(q, dict(zip(q.vertices, profile)), 1)
+                yield f"round_trip/{label}/{'x'.join(map(str, profile))}", outcome(round_trip, x)
+
+
+def derive_records():
+    import freequiver as fq
+    from freequiver import catalog
+    from freequiver.cli import main
+
+    sch = catalog.sch_quiver()
+    x = fq.random_rep(sch, {"u": 3, "v": 2}, 9)
+    maps = [("schur", catalog.schur_map()), ("ppt_D", catalog.ppt_map("pivot_D")),
+            ("block_inverse", catalog.block_inverse_map()),
+            ("poly", fq.random_polynomial_map(sch, sch, 8, max_degree=3))]
+    with tempfile.TemporaryDirectory(prefix="equiv-derive-") as tmp:
+        map_path, rep_path = Path(tmp) / "f.json", Path(tmp) / "x.json"
+        for label, f in maps:
+            map_path.write_text(fq.dumps(f), encoding="utf-8")
+            for scale in (1.0, 1e-3, 1e120):
+                rep_path.write_text(fq.dumps(fq.Rep(sch, x.dims, {
+                    a: m * scale for a, m in x.mats.items()})), encoding="utf-8")
+                out, err = io.StringIO(), io.StringIO()
+                with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                    code = main(["derive", "--map", str(map_path), "--rep", str(rep_path),
+                                 "--seed", "9", "--format", "machine"])
+                yield f"derive/{label}/3x2/scale{scale:g}", [
+                    code, [json.loads(line) for line in out.getvalue().splitlines()],
+                    err.getvalue()]
+
+
 def conformance_records(maps):
     import freequiver as fq
 
@@ -429,7 +475,8 @@ def run_corpus(tree: Path, quick: bool) -> None:
         raise ImportError(f"freequiver came from {freequiver.__file__}, not from {tree}")
     seeds, rounds, demo_seeds = ((1,), (0,), (1,)) if quick else ((1, 2), (0, 1), (1, 7))
     for records in (regularity_records(), calculus_records(), intertwiner_records(),
-                    block_records(), conformance_records(calculus_maps()), block_tol_records(),
+                    block_records(), round_trip_records(), derive_records(),
+                    conformance_records(calculus_maps()), block_tol_records(),
                     demo_records(demo_seeds),
                     bench_records(tree, seeds, rounds)):
         for key, value in records:
