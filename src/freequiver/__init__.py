@@ -57,7 +57,6 @@ from .exprs import (
     add,
     add_maps,
     apply_map,
-    atom,
     compose_maps,
     degree,
     eval_expr,

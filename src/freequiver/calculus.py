@@ -459,13 +459,15 @@ def gamma_commutation_check(
 
 def nilpotent_matrix(coeffs, n: int) -> np.ndarray:
     """p(N_n) for the n×n single-Jordan-block nilpotent N (ones on the first
-    superdiagonal). Integer coefficient lists stay in exact int64 arithmetic.
+    superdiagonal). Coefficient lists of integral values that all fit in
+    int64 stay in exact int64 arithmetic; any other list is complex.
     """
     if n < 1:
         raise ValueError("matrix size must be at least 1")
     coeffs = list(coeffs)
     exact = all(
-        isinstance(c, numbers.Integral) or (isinstance(c, float) and c.is_integer())
+        (isinstance(c, numbers.Integral) or (isinstance(c, float) and c.is_integer()))
+        and -2**63 <= c < 2**63
         for c in coeffs
     )
     dtype = np.int64 if exact else np.complex128

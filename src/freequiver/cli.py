@@ -47,7 +47,8 @@ from .catalog import (
 from .conformance import TrialPlan, run_conformance
 from .errors import BlockMismatchError, ParseError, RegularityError, TypecheckError
 from .exprs import FreeMapDef, eval_map, render_expr
-from .numerics import op_norm, worst
+from .numerics import frob_norm, op_norm, worst
+from .quivers import Quiver
 from .reps import Rep, random_rep, rep_residual
 from .serialize import parse_definition_file, rep_to_obj
 
@@ -76,16 +77,21 @@ def parse_dims(text: str) -> dict[str, int]:
 
 
 def parse_poly(text: str) -> list[float]:
+    """"1,4,0.5" -> [1, 4, 0.5]: integers that fit in int64 stay exact, any
+    other coefficient is read as a float and must be finite."""
     out: list[float] = []
     for part in text.split(","):
         part = part.strip()
         try:
-            out.append(int(part))
+            c = int(part) if -2**63 <= int(part) < 2**63 else float(part)
         except ValueError:
             try:
-                out.append(float(part))
+                c = float(part)
             except ValueError:
                 raise ParseError(f"bad coefficient {part!r}")
+        if not np.isfinite(c):
+            raise ParseError(f"coefficient {part!r} is not finite")
+        out.append(c)
     return out
 
 
@@ -175,13 +181,19 @@ def _load_point(job: argparse.Namespace, f: FreeMapDef) -> Rep:
                 f"{job.rep_path}: rep is over a different quiver than the map source"
             )
         return x
-    if job.dims is None:
+    return _random_point(job, f.source_quiver)
+
+
+def _random_point(job: argparse.Namespace, q: Quiver, default=None) -> Rep:
+    """A seeded random rep on q at --dims, or at the default dims when
+    --dims is absent; every vertex of q needs a dimension."""
+    dims = job.dims or default
+    if dims is None:
         raise ParseError("this command needs --rep FILE or --dims k=v[,k=v...]")
-    missing = [v for v in f.source_quiver.vertices if v not in job.dims]
+    missing = [v for v in q.vertices if v not in dims]
     if missing:
         raise ParseError(f"--dims misses vertices {missing}")
-    dims = {v: job.dims[v] for v in f.source_quiver.vertices}
-    return random_rep(f.source_quiver, dims, resolve_seed(job.seed))
+    return random_rep(q, {v: dims[v] for v in q.vertices}, resolve_seed(job.seed))
 
 
 def _zero_arc(x: Rep, arc: str) -> Rep:
@@ -221,9 +233,9 @@ def cmd_derive(job: argparse.Namespace, rep: Report) -> int:
     for a in f.target_quiver.arcs:
         rep.record(
             "derivative_block",
-            human=f"D[{a.name}] norm={np.linalg.norm(dd.h_mats[a.name]):.6e}",
+            human=f"D[{a.name}] norm={frob_norm(dd.h_mats[a.name]):.6e}",
             arc=a.name,
-            frobenius_norm=float(np.linalg.norm(dd.h_mats[a.name])),
+            frobenius_norm=frob_norm(dd.h_mats[a.name]),
         )
         rep.lines.append(_fmt_matrix(dd.h_mats[a.name]))
     ok = rep.check("finite_difference", residual, tol, eps=eps)
@@ -293,15 +305,14 @@ def cmd_check_free(job: argparse.Namespace, rep: Report) -> int:
 def _frob_rel_error(got, ref) -> float:
     """Worst Frobenius error over paired matrices, relative to the largest
     Frobenius norm in ref (at least 1e-30)."""
-    num = worst(np.linalg.norm(g - r) for g, r in zip(got, ref))
-    return num / max(worst(np.linalg.norm(r) for r in ref), 1e-30)
+    num = worst(frob_norm(g - r) for g, r in zip(got, ref))
+    return num / max(worst(frob_norm(r) for r in ref), 1e-30)
 
 
 def _demo_schur(job: argparse.Namespace, rep: Report) -> None:
-    dims = job.dims or {"u": 3, "v": 2}
     seed = resolve_seed(job.seed)
     f = schur_map()
-    x = random_rep(sch_quiver(), dims, seed)
+    x = _random_point(job, sch_quiver(), {"u": 3, "v": 2})
     h = random_direction(x, seed + 1)
     dd = directional_derivative(f, x, h)
     closed = schur_derivative(x, h)
@@ -323,9 +334,8 @@ def _demo_schur(job: argparse.Namespace, rep: Report) -> None:
 
 
 def _demo_ppt(job: argparse.Namespace, rep: Report) -> None:
-    dims = job.dims or {"u": 3, "v": 2}
     seed = resolve_seed(job.seed)
-    x = random_rep(sch_quiver(), dims, seed)
+    x = _random_point(job, sch_quiver(), {"u": 3, "v": 2})
     h = random_direction(x, seed + 1)
     tol = job.tol if job.tol is not None else 1e-8
     for variant in ("pivot_D", "pivot_A"):
@@ -339,9 +349,7 @@ def _demo_ppt(job: argparse.Namespace, rep: Report) -> None:
 
 
 def _demo_block_inverse(job: argparse.Namespace, rep: Report) -> None:
-    dims = job.dims or {"u": 3, "v": 2}
-    seed = resolve_seed(job.seed)
-    x = random_rep(sch_quiver(), dims, seed)
+    x = _random_point(job, sch_quiver(), {"u": 3, "v": 2})
     tol = job.tol if job.tol is not None else 1e-9
     rep.check("block_inverse", block_inverse_check(x), tol)
     # consistency: the assembled inverse's leading block is the inverse of
@@ -354,9 +362,7 @@ def _demo_block_inverse(job: argparse.Namespace, rep: Report) -> None:
 
 
 def _demo_smw(job: argparse.Namespace, rep: Report) -> None:
-    dims = job.dims or {"u": 5, "v": 2}
-    seed = resolve_seed(job.seed)
-    x = random_rep(smw_quiver(), dims, seed)
+    x = _random_point(job, smw_quiver(), {"u": 5, "v": 2})
     tol = job.tol if job.tol is not None else 1e-9
     rep.check("low_rank_update_inverse", smw_check(x), tol)
 

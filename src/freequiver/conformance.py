@@ -10,7 +10,6 @@ Every trial is reproducible from (master_seed, trial_index, check_name) alone.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from hashlib import blake2b
 from typing import Mapping, Sequence
@@ -124,21 +123,17 @@ class CheckStats:
 
 @dataclass(eq=False)
 class ConformanceReport:
-    """Deterministic fold of all trial outcomes, ordered by trial index.
-
-    Wall time is informational only and excluded from as_dict() so that
-    serialized reports from identical plans are byte-identical.
-    """
+    """Deterministic fold of all trial outcomes, ordered by trial index: it
+    holds no timing, so the as_dict() of reports from one plan are equal."""
 
     plan: TrialPlan
     stats: dict[str, CheckStats] = field(default_factory=dict)
-    wall_time: float = 0.0
 
     @property
     def passed(self) -> bool:
         return all(s.failures == 0 for s in self.stats.values())
 
-    def as_dict(self, include_wall_time: bool = False) -> dict:
+    def as_dict(self) -> dict:
         out = {
             "master_seed": self.plan.master_seed,
             "trials": self.plan.trials,
@@ -151,8 +146,6 @@ class ConformanceReport:
             if name == "lemma_part1":
                 entry["note"] = LEMMA_NOTE
             out["checks"][name] = entry
-        if include_wall_time:
-            out["wall_time"] = self.wall_time
         return out
 
 
@@ -249,7 +242,6 @@ def run_conformance(f: MapLike, plan: TrialPlan,
         if missing:
             raise ValueError(f"dimension profile misses vertices: {sorted(missing)}")
     report = ConformanceReport(plan, {name: CheckStats() for name in plan.checks})
-    start = time.perf_counter()
     for idx in range(plan.trials):
         profile = plan.dim_profiles[idx % len(plan.dim_profiles)]
         for check in plan.checks:
@@ -259,5 +251,4 @@ def run_conformance(f: MapLike, plan: TrialPlan,
             except (RegularityError, BlockMismatchError):
                 residual = None
             report.stats[check].record(idx, seed, residual, plan.tolerance)
-    report.wall_time = time.perf_counter() - start
     return report

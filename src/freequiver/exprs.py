@@ -99,10 +99,6 @@ class Inv:
 Expr = Union[Atom, Id, Add, Scale, Mul, Inv]
 
 
-def atom(arc: str) -> Atom:
-    return Atom(arc)
-
-
 def ident(vertex: str) -> Id:
     return Id(vertex)
 
@@ -181,13 +177,11 @@ def render_expr(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # Typing
 
-def typecheck(e: Expr, q: Quiver, dims: Mapping[str, int] | None = None) -> tuple[str, str]:
+def typecheck(e: Expr, q: Quiver) -> tuple[str, str]:
     """Endpoints (src, dst) of e over q, or TypecheckError at the first
-    violation (the message names the offending subexpression).
-
-    dims, when given, lets two-sided inverses on provably non-square operands
-    be rejected statically; without dims that check is deferred to evaluation.
-    """
+    violation (the message names the offending subexpression). Shapes are
+    not checked: evaluation rejects a two-sided inverse of a rectangular
+    value."""
     match e:
         case Atom(arc):
             if not q.has_arc(arc):
@@ -199,7 +193,7 @@ def typecheck(e: Expr, q: Quiver, dims: Mapping[str, int] | None = None) -> tupl
                 raise TypecheckError(f"unknown vertex {vertex!r}", node=e)
             return (vertex, vertex)
         case Add(terms):
-            ends = [typecheck(t, q, dims) for t in terms]
+            ends = [typecheck(t, q) for t in terms]
             for t, (s, d) in zip(terms[1:], ends[1:]):
                 if (s, d) != ends[0]:
                     raise TypecheckError(
@@ -209,9 +203,9 @@ def typecheck(e: Expr, q: Quiver, dims: Mapping[str, int] | None = None) -> tupl
                     )
             return ends[0]
         case Scale(_, of):
-            return typecheck(of, q, dims)
+            return typecheck(of, q)
         case Mul(factors):
-            ends = [typecheck(f, q, dims) for f in factors]
+            ends = [typecheck(f, q) for f in factors]
             for i in range(len(factors) - 1):
                 if ends[i][0] != ends[i + 1][1]:
                     raise TypecheckError(
@@ -221,15 +215,8 @@ def typecheck(e: Expr, q: Quiver, dims: Mapping[str, int] | None = None) -> tupl
                         node=e,
                     )
             return (ends[-1][0], ends[0][1])
-        case Inv(of, mode):
-            s, d = typecheck(of, q, dims)
-            if mode == "two_sided" and dims is not None and dims[s] != dims[d]:
-                raise TypecheckError(
-                    f"two-sided inverse of a non-square value: {render_expr(of)} "
-                    f"maps dimension {dims[s]} to {dims[d]}",
-                    node=e,
-                )
-            return (d, s)
+        case Inv(of, _):
+            return typecheck(of, q)[::-1]
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -370,54 +357,51 @@ def eval_expr(e: Expr, x: Rep) -> np.ndarray:
     at every point of a stack. A non-empty square two-sided operand whose
     computed inverse certifies that rule through numerics.certified_inverse
     is not decomposed; any other operand is decided from its singular values.
-    Irregular nodes raise RegularityError (naming the node).
-    """
-    return _eval(e, x, None, None, {})
+    Irregular nodes raise RegularityError (naming the node)."""
+    return _eval(e, x, None, {})
 
 
-def _eval(e: Expr, x: Rep, entry, decisions, memo: dict) -> np.ndarray:
-    """eval_expr's walk; memo maps inverse nodes to their values. decisions,
-    when not None, maps them to (sigma_min, sigma_max, ok): each node is then
-    decided from its singular values, and a failing one is replaced by its
-    pseudo-inverse instead of raising."""
+def _eval(e: Expr, x: Rep, entry, memo: dict) -> np.ndarray:
+    """eval_expr's walk; memo maps inverse nodes to their values, and a node
+    found there is not decided again."""
     match e:
         case Atom(arc):
             return x.mats[arc]
         case Id(vertex):
             return np.eye(x.dims[vertex], dtype=np.complex128)
         case Add(terms):
-            vals = [_eval(t, x, entry, decisions, memo) for t in terms]
+            vals = [_eval(t, x, entry, memo) for t in terms]
             return reduce(lambda a, b: a + b, vals)
         case Scale(k, of):
-            return k * _eval(of, x, entry, decisions, memo)
+            return k * _eval(of, x, entry, memo)
         case Mul(factors):
-            vals = [_eval(f, x, entry, decisions, memo) for f in factors]
+            vals = [_eval(f, x, entry, memo) for f in factors]
             return reduce(lambda a, b: a @ b, vals)
-        case Inv(of, _):
+        case Inv(of, mode):
             value = memo.get(e)
             if value is None:
-                m = _eval(of, x, entry, decisions, memo)
-                value = memo[e] = _invert(e, m, entry, decisions)
+                m = _eval(of, x, entry, memo)
+                if mode == "two_sided" and m.shape[-2] == m.shape[-1] > 0:
+                    value = certified_inverse(m)
+                if value is None:
+                    ok, _, _, reason = inverse_rule(m, mode)
+                    if not np.all(ok):
+                        node = render_expr(e)
+                        raise RegularityError(
+                            f"{reason} at {node}" + (f" (entry {entry!r})" if entry else ""),
+                            node=node, entry=entry)
+                    value = _inverse(m, mode, ok)
+                memo[e] = value
             return value
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _invert(e: Inv, m: np.ndarray, entry, decisions) -> np.ndarray:
-    rows, cols = m.shape[-2:]
-    if decisions is None and e.mode == "two_sided" and rows == cols > 0:
-        value = certified_inverse(m)
-        if value is not None:
-            return value
-    ok, smin, smax, reason = inverse_rule(m, e.mode)
-    if decisions is not None:
-        decisions[e] = (float(smin), float(smax), bool(ok))
-    elif not np.all(ok):
-        node = render_expr(e)
-        raise RegularityError(f"{reason} at {node}" + (f" (entry {entry!r})" if entry else ""),
-                              node=node, entry=entry)
-    if e.mode != "two_sided" or not np.all(ok):
+def _inverse(m: np.ndarray, mode: str, ok) -> np.ndarray:
+    """An inverse node's value at operand m, given inverse_rule's ok: a passing
+    two-sided node's inverse, else the pseudo-inverse (a failing one's stand-in)."""
+    if mode != "two_sided" or not np.all(ok):
         return pinv(m)
-    return m.copy() if rows == 0 else np.linalg.inv(m)
+    return m.copy() if m.shape[-1] == 0 else np.linalg.inv(m)
 
 
 # ---------------------------------------------------------------------------
@@ -501,24 +485,17 @@ def eval_map(f: FreeMapDef, x: Rep) -> Rep:
     return Rep(f.target_quiver, dims, eval_entries(f, x))
 
 
-def eval_entries(
-    f: FreeMapDef, x: Rep, decisions: dict | None = None
-) -> dict[str, np.ndarray]:
+def eval_entries(f: FreeMapDef, x: Rep) -> dict[str, np.ndarray]:
     """Every entry of f on x (a Rep, or stacked points as eval_expr takes),
     in entry order, through one walk: the entries share one memo, so an
     inverse node that occurs in several of them is decided and factored
-    once. An entry whose value is already another entry's array (a repeated
-    inverse node, a repeated arc) gets a copy, so no two entries share
-    storage.
-
-    With a decisions dict supplied (single points only), every distinct
-    inverse node is decided from its singular values and its
-    (sigma_min, sigma_max, ok) stored there under the node, and a failing one
-    does not raise: a pseudo-inverse stands in so the walk can continue."""
+    once, and the first that fails raises RegularityError. An entry whose
+    value is already another entry's array (a repeated inverse node, a
+    repeated arc) gets a copy, so no two entries share storage."""
     memo: dict = {}
     vals: dict[str, np.ndarray] = {}
     for r, e in f.entries.items():
-        v = _eval(e, x, r, decisions, memo)
+        v = _eval(e, x, r, memo)
         vals[r] = v.copy() if any(v is w for w in vals.values()) else v
     return vals
 
@@ -530,20 +507,23 @@ def apply_map(f: MapLike, x: Rep) -> Rep:
     return f(x)
 
 
-def is_regular(
-    f: FreeMapDef, x: Rep
-) -> tuple[bool, list[InvDiagnostic]]:
-    """True iff every inverse node passes its threshold at x, and one
-    diagnostic per occurrence of an inverse node in evaluation order. One walk
-    decides each distinct node once (pseudo-inverses stand in after a failure)
-    and every occurrence of a node reports that decision."""
-    decisions: dict = {}
-    eval_entries(f, x, decisions)
-    diags = [
-        InvDiagnostic(r, render_expr(n), n.mode, *decisions[n])
-        for r, e in f.entries.items()
-        for n in _inverse_nodes(e)
-    ]
+def is_regular(f: FreeMapDef, x: Rep) -> tuple[bool, list[InvDiagnostic]]:
+    """True iff every inverse node passes numerics.inverse_rule at x, and one
+    diagnostic per occurrence of an inverse node, in evaluation order. Each
+    distinct node is decided once from its operand's singular values; the
+    operand comes from eval_expr's walk, whose memo holds the inner nodes'
+    values (a failing node's pseudo-inverse stands in)."""
+    if x.quiver != f.source_quiver:
+        raise ValueError("representation is over a different quiver than the map's source")
+    memo, decided, diags = {}, {}, []
+    for r, e in f.entries.items():
+        for n in _inverse_nodes(e):
+            if n not in decided:
+                m = _eval(n.of, x, r, memo)
+                ok, smin, smax, _ = inverse_rule(m, n.mode)
+                decided[n] = (float(smin), float(smax), bool(ok))
+                memo[n] = _inverse(m, n.mode, ok)
+            diags.append(InvDiagnostic(r, render_expr(n), n.mode, *decided[n]))
     return all(d.ok for d in diags), diags
 
 
@@ -698,46 +678,29 @@ def degree(f: FreeMapDef) -> int | float:
     return best
 
 
-# most paths random_polynomial_map draws per entry before min_degree's top-up
+# most paths random_polynomial_map draws per entry
 _MAX_TERMS = 3
 
 
 def random_polynomial_map(
-    source: Quiver,
-    target: Quiver,
-    seed: int,
-    max_degree: int = 3,
-    min_degree: int = 0,
-    vertex_map: Mapping[str, str] | None = None,
+    source: Quiver, target: Quiver, seed: int, max_degree: int = 3
 ) -> FreeMapDef:
-    """Seeded polynomial map: each entry is a small integer combination of
-    paths of length <= max_degree between the identified endpoints.
-
-    min_degree > 0 forces at least one term of that length or more per entry
-    (so e.g. derivative-convergence studies never draw an exactly-linear map).
-    """
-    vmap = _resolve_vertex_map(source, target, vertex_map)
+    """Seeded polynomial map: each entry is a combination of 1 to _MAX_TERMS
+    distinct paths of length <= max_degree between the endpoints of its arc,
+    with coefficients in ±{1, 2, 3}. Target vertices are identified with the
+    same-named source vertices."""
+    vmap = _resolve_vertex_map(source, target, None)
     rng = np.random.Generator(np.random.PCG64(seed))
     entries: dict[str, Expr] = {}
     for a in target.arcs:
         s, d = vmap[a.src], vmap[a.dst]
         paths = enumerate_paths(source, s, d, max_degree)
         if not paths:
-            raise ValueError(
-                f"no path {s!r}->{d!r} of length <= {max_degree} for arc {a.name!r}"
-            )
-        long_idx = [i for i, p in enumerate(paths) if len(p) >= min_degree]
-        if not long_idx:
-            raise ValueError(
-                f"no path {s!r}->{d!r} of length in [{min_degree}, {max_degree}] "
-                f"for arc {a.name!r}"
-            )
+            raise ValueError(f"no path {s!r}->{d!r} of length <= {max_degree} "
+                             f"for arc {a.name!r}")
         k = min(int(rng.integers(1, _MAX_TERMS + 1)), len(paths))
-        chosen = set(rng.choice(len(paths), size=k, replace=False).tolist())
-        if min_degree > 0 and not any(i in chosen for i in long_idx):
-            chosen.add(int(rng.choice(long_idx)))
         terms: list[Expr] = []
-        for i in sorted(chosen):
+        for i in sorted(rng.choice(len(paths), size=k, replace=False).tolist()):
             c = int(rng.integers(1, 4)) * int(rng.choice([-1, 1]))
             core = from_path_expr(paths[i])
             terms.append(core if c == 1 else Scale(c, core))

@@ -931,3 +931,10 @@ class TestNilpotentCoefficients:
         coeffs = [2, -1, 5, 7, 0, 3]
         row = nilpotent_coefficients(coeffs, 6)
         assert np.array_equal(row, coeffs)
+
+    def test_exact_only_within_int64(self):
+        assert nilpotent_matrix([2**63 - 1, -2**63], 2).dtype == np.int64
+        for coeffs in ([1e308, 0], [2**63, 1], [10**23, 1]):
+            mat = nilpotent_matrix(coeffs, 2)
+            assert mat.dtype == np.complex128
+            assert np.array_equal(mat[0], [complex(c) for c in coeffs])

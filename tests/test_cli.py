@@ -240,11 +240,36 @@ class TestArgHelpers:
         assert parse_poly("1,4,0,3") == [1, 4, 0, 3]
         assert parse_poly("1.5,2") == [1.5, 2]
 
+    def test_parse_poly_keeps_only_int64_exact(self):
+        top = parse_poly("9223372036854775807,-9223372036854775808")
+        assert top == [2**63 - 1, -2**63] and all(type(c) is int for c in top)
+        big = parse_poly("9223372036854775808,100000000000000000000000")
+        assert big == [2.0**63, 1e23] and all(type(c) is float for c in big)
+
+    @pytest.mark.parametrize("text", ["1e400", "nan,1", "1,-inf", "1" + "0" * 400])
+    def test_parse_poly_rejects_non_finite(self, text):
+        with pytest.raises(ParseError, match="not finite"):
+            parse_poly(text)
+
 
 class TestExitCodes:
     def test_coeffs_output(self, capsys):
         assert main(["coeffs", "--poly", "1,4,0,3", "--n", "3"]) == 0
         assert capsys.readouterr().out == "1 4 0\n"
+
+    @pytest.mark.parametrize("poly, row", [
+        ("1e308,1e308", [1e308, 1e308, 0.0]),
+        ("100000000000000000000000,1", [1e23, 1.0, 0.0]),
+    ])
+    def test_coeffs_beyond_int64(self, poly, row, capsys):
+        assert main(["coeffs", "--poly", poly, "--n", "3", "--format", "machine"]) == 0
+        assert json.loads(capsys.readouterr().out)["row"] == row
+
+    @pytest.mark.parametrize("poly", ["1e400", "nan,1"])
+    def test_coeffs_non_finite_exits_2(self, poly, capsys):
+        assert main(["coeffs", "--poly", poly, "--n", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "not finite" in captured.err
 
     def test_eval_ok(self, schur_file, point_file, capsys):
         assert main(["eval", "--map", schur_file, "--rep", point_file]) == 0
@@ -271,6 +296,27 @@ class TestExitCodes:
         check = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert check["name"] == "finite_difference" and check["passed"]
         assert check["eps"] == FD_EPS * max(np.abs(m).max() for m in x.mats.values())
+
+    def test_derive_norms_do_not_underflow(self, tmp_path, capsys):
+        # block_inverse's derivative X^-1 H X^-1 at a point scaled by 1e120
+        # has entries near 1e-240, whose squares underflow in an unscaled norm
+        x = random_rep(sch_quiver(), {"u": 3, "v": 2}, 9)
+        x = Rep(x.quiver, x.dims, {a: 1e120 * m for a, m in x.mats.items()})
+        map_path, rep_path = tmp_path / "f.json", tmp_path / "x.json"
+        dump(block_inverse_map(), map_path)
+        dump(x, rep_path)
+        capsys.readouterr()
+        assert main(["derive", "--map", str(map_path), "--rep", str(rep_path),
+                     "--seed", "9", "--format", "machine"]) == 0
+        records = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+        norms = {r["arc"]: r["frobenius_norm"] for r in records
+                 if r["kind"] == "derivative_block"}
+        dd = calculus.directional_derivative(
+            block_inverse_map(), x, calculus.random_direction(x, 10))
+        assert len(norms) == 4
+        for arc, m in dd.h_mats.items():
+            ref = np.linalg.norm(1e240 * m) / 1e240
+            assert abs(norms[arc] - ref) <= 1e-12 * ref
 
     def test_certify_collision_exits_1(self, schur_file, capsys):
         code = main(["certify", "--map", schur_file, "--dims", "u=3,v=2",
@@ -510,6 +556,17 @@ class TestDemos:
         assert main(["demo", "nilpotent", "--format", "machine",
                      "--out", str(out)]) == 0
         assert out.read_bytes() == (GOLDEN / "demo_nilpotent.jsonl").read_bytes()
+
+    @pytest.mark.parametrize("name, dims, missing", [
+        ("schur", "w=3", "['u', 'v']"),
+        ("ppt", "u=3", "['v']"),
+        ("block-inverse", "v=2", "['u']"),
+        ("smw", "u=2", "['v']"),
+    ])
+    def test_demo_dims_missing_a_vertex_exits_2(self, name, dims, missing, capsys):
+        assert main(["demo", name, "--dims", dims]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: --dims misses vertices {missing}\n"
 
     def test_demo_seed_changes_machine_output(self, tmp_path):
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"

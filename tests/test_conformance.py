@@ -205,13 +205,6 @@ class TestRunConformance:
         for name in CHECK_NAMES:
             assert r1.stats[name].max_residual == r2.stats[name].max_residual
 
-    def test_wall_time_excluded_from_dict_by_default(self):
-        plan = TrialPlan(23, 2, [{"u": 2, "v": 2}], checks=("direct_sum",))
-        report = run_conformance(schur_map(), plan)
-        assert report.wall_time > 0.0
-        assert "wall_time" not in report.as_dict()
-        assert "wall_time" in report.as_dict(include_wall_time=True)
-
     def test_lemma_note_present_in_dict(self):
         plan = TrialPlan(24, 2, [{"u": 2, "v": 2}])
         report = run_conformance(ppt_map("pivot_D"), plan)
