@@ -52,6 +52,7 @@ from .numerics import (
     op_norms,
     rel_diff,
     rel_residual,
+    values_first_kernel,
     worst,
 )
 from .reps import (NatTrans, Rep, arc_matrices, block_points, direct_sum, random_rep,
@@ -355,9 +356,17 @@ def ift_certificate(f: FreeMapDef, x: Rep, tol: float = IFT_TOL) -> IFTCertifica
     A nontrivial kernel yields the constructed counterexample to injectivity:
     rep1 = [[X, H], [0, X]] for a unit kernel direction H and rep2 = X ⊕ X
     have (numerically) equal images but unit separation.
+
+    "collision" is a numerical-rank verdict at relative cutoff tol, not an
+    exact kernel: the pair's images differ by Df(X)[H] in the upper-right
+    block, so they agree only to first order, and collision_residual is about
+    sigma_min (at most about tol * sigma_max, which need not be small). A
+    Df(X) that is not wide is decided from its singular values alone, and H
+    of a collision comes from a least-squares projection onto its kernel;
+    only a wide Df(X) takes its singular vectors.
     """
     dm = derivative_matrix(f, x)
-    s, null = kernel(dm.matrix, tol)
+    s, null = values_first_kernel(dm.matrix, tol) or kernel(dm.matrix, tol)
     smax = float(s[0]) if s.size else 0.0
     smin = float(s[-1]) if 0 < dm.matrix.shape[1] <= s.size else 0.0
     if not len(null):

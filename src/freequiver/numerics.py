@@ -18,11 +18,15 @@ one place:
   residual-certified bound on a square operand's computed inverse may pass a
   clearly regular one; any operand that could fail is decided by its singular
   values;
-* LAPACK's SVD is called here only, and kernel is the one rank rule: the
-  rank counts the singular values above rtol * sigma_max (nullspace takes
-  rtol = max(shape) * eps * 10). A strictly tall m takes the economy SVD (the
-  same Vh). When gesdd does not converge, R from m = QR, which has m's
-  singular values and right singular vectors, stands in;
+* LAPACK's SVD is called here only, and one rank rule holds: the rank
+  counts the singular values above rtol * sigma_max (nullspace takes
+  rtol = max(shape) * eps * 10). A Jacobian that is not wide takes values
+  first (values_first_kernel), and a basis of its kernel, if any, from a
+  least-squares projection, never m's own singular vectors; kernel takes
+  them for a wide m, or for a system that always has a kernel (nullspace).
+  A strictly tall m takes the economy SVD (the same Vh). When gesdd does not
+  converge, R from m = QR, which has m's singular values and right singular
+  vectors, stands in;
 * an SVD with vectors fails on a NaN and can hang on an inf, so none gets a
   non-finite matrix: kernel raises LinAlgError, inverse_rule fails the
   operand with NaN sigmas and pinv gives NaN. op_norms keeps LAPACK's
@@ -145,7 +149,42 @@ def kernel(m, rtol: float) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError:  # seen on Jacobians with a large kernel
         _, s, vh = np.linalg.svd(np.linalg.qr(a)[1], full_matrices=True)
     # rows of vh are conjugated right singular vectors
-    return s, np.conj(vh[int(np.sum(s > rtol * s[0])):])
+    return s, np.conj(vh[_rank(s, rtol):])
+
+
+def _rank(s, rtol: float) -> int:
+    """How many of the singular values s, descending and non-empty, exceed
+    rtol * s[0]: the rank that kernel and values_first_kernel count."""
+    return int(np.sum(s > rtol * s[0]))
+
+
+def values_first_kernel(m, rtol: float) -> tuple[np.ndarray, np.ndarray] | None:
+    """kernel(m, rtol) for a finite 2-d m that is not wide (0 < cols <= rows),
+    without m's singular vectors, whose SVD takes about twice the time and
+    several times the memory of the values alone. s comes from an SVD without
+    vectors. For a rank r short of cols, the least-squares solve at the same
+    cutoff projects cols - r fixed random vectors onto the kernel, and the
+    basis is the right singular vectors of m on their span: orthonormal rows
+    with m @ row ≈ 0, in kernel's order, so the last has the least gain.
+    None for any other m, for rank 0 (kernel's basis is then the identity)
+    and when LAPACK does not converge: kernel then decides."""
+    a = np.asarray(m, dtype=np.complex128)
+    if not (0 < a.shape[1] <= a.shape[0] and np.isfinite(a).all()):
+        return None
+    try:
+        s = singular_values(a)
+        dim = s.size - _rank(s, rtol)
+        if dim == 0:
+            return s, np.zeros((0, s.size), dtype=np.complex128)
+        if dim == s.size:
+            return None
+        rng = np.random.default_rng(0)
+        z = rng.standard_normal((s.size, dim)) + 1j * rng.standard_normal((s.size, dim))
+        q = np.linalg.qr(z - np.linalg.lstsq(a, a @ z, rcond=rtol)[0])[0]
+        wh = np.linalg.svd(a @ q, full_matrices=False)[2]
+    except np.linalg.LinAlgError:
+        return None
+    return s, (q @ wh.conj().T).T
 
 
 def nullspace(m) -> np.ndarray:

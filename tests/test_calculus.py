@@ -43,6 +43,7 @@ from freequiver.errors import BlockMismatchError, RegularityError
 from freequiver.exprs import (
     Atom,
     FreeMapDef,
+    Id,
     ProductSpec,
     add,
     eval_map,
@@ -57,6 +58,7 @@ from freequiver.exprs import (
 from freequiver.numerics import (
     frob_norm,
     frob_norms,
+    kernel,
     op_norm,
     op_norms,
     rel_diff,
@@ -732,6 +734,12 @@ class TestIFTCertificate:
                 raise np.linalg.LinAlgError("SVD did not converge")
             return svd(a, *args, **kwargs)
 
+        def lstsq_fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge in Linear Least Squares")
+
+        # the least-squares projection of the values-first path fails as well,
+        # so the certificate goes on to kernel's SVD with vectors
+        monkeypatch.setattr(np.linalg, "lstsq", lstsq_fails)
         monkeypatch.setattr(np.linalg, "svd", first_full_svd_fails)
         cert = ift_certificate(f, x)
         monkeypatch.undo()
@@ -760,6 +768,210 @@ class TestIFTCertificate:
         f, x = nonconverging_point(*seeds)
         s = np.linalg.svd(derivative_matrix(f, x).matrix, compute_uv=False)
         assert np.allclose(got, s, rtol=0, atol=1e-12 * s[0])
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """(shape, compute_uv) of every np.linalg.svd call made while it is live."""
+    calls, svd = [], np.linalg.svd
+
+    def counted(a, *args, **kwargs):
+        calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def kernel_only_certificate(f, x, tol=calculus.IFT_TOL):
+    """ift_certificate with every verdict taken from numerics.kernel."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(calculus, "values_first_kernel", lambda m, rtol: None)
+        return ift_certificate(f, x, tol)
+
+
+def kernel_verdict(j, tol):
+    """(status, kernel_dim, sigma_min) that numerics.kernel gives for j."""
+    s, null = kernel(j, tol)
+    smin = float(s[-1]) if 0 < j.shape[1] <= s.size else 0.0
+    return ("collision" if len(null) else "full_rank"), len(null), smin
+
+
+def assert_same_certificate(a, b):
+    def bits(v):
+        return float(v).hex() if isinstance(v, float) else v
+
+    for name in ("status", "sigma_min", "sigma_max", "kernel_dim", "tol",
+                 "collision_residual", "separation"):
+        assert bits(getattr(a, name)) == bits(getattr(b, name)), name
+    assert a.singular_values.tobytes() == b.singular_values.tobytes()
+    for name in ("direction", "rep1", "rep2"):
+        assert (getattr(a, name) is None) == (getattr(b, name) is None), name
+    if a.direction is not None:
+        for m1, m2 in ((a.direction.h_mats, b.direction.h_mats), (a.rep1.mats, b.rep1.mats),
+                       (a.rep2.mats, b.rep2.mats)):
+            assert m1.keys() == m2.keys()
+            assert all(m1[k].tobytes() == m2[k].tobytes() for k in m1)
+
+
+def square_map_at_diagonal():
+    """x -> x^2 at diag(1, -1, 2): J = L_X + R_X is 9x9 and diagonal, with
+    x_i + x_j = 0 at the two units E_12 and E_21."""
+    q = loop_quiver()
+    x = Rep(q, {"u": 3}, {"x": np.diag([1.0, -1.0, 2.0]).astype(np.complex128)})
+    return FreeMapDef(q, q, {"x": mul(Atom("x"), Atom("x"))}), x
+
+
+def full_rank_cases():
+    """(map, point) params whose Df(X) is not wide and has full rank: the
+    catalog maps with square (ppt, block_inverse) and tall (rational_triple,
+    sandwich_rational) Jacobians, and random polynomial maps at five
+    profiles, up to a 100x100 J at 6/4."""
+    sch = catalog.sch_quiver()
+    cases = []
+    for label, f in (("ppt_D", catalog.ppt_map("pivot_D")), ("ppt_A", catalog.ppt_map("pivot_A")),
+                     ("block_inverse", catalog.block_inverse_map()),
+                     ("rational_triple", catalog.rational_triple_map()),
+                     ("sandwich_rational", catalog.sandwich_rational_map())):
+        q = f.source_quiver
+        for profile in ((2, 3), (3, 2), (1, 1)):
+            dims = dict(zip(q.vertices, profile))
+            x = random_rep(q, dims, 11)
+            cases.append(pytest.param(f, x, id=f"{label}-{'x'.join(map(str, dims.values()))}"))
+    for seed, profile in ((601, (0, 2)), (600, (3, 0)), (602, (1, 1)), (603, (2, 3)),
+                          (604, (6, 4))):
+        f = random_polynomial_map(sch, sch, seed, max_degree=3)
+        x = random_rep(sch, dict(zip(("u", "v"), profile)), seed)
+        cases.append(pytest.param(f, x, id=f"poly_{seed}-{profile[0]}x{profile[1]}"))
+    return cases
+
+
+class TestValuesFirstCertificate:
+    """A Df(X) that is not wide is decided from its singular values alone,
+    and a collision's direction comes from a least-squares projection onto
+    the kernel: no SVD of Df(X) with vectors. Status, kernel_dim and sigmas
+    are the ones kernel alone gives."""
+
+    @staticmethod
+    def certify(monkeypatch, f, x, j, tol=calculus.IFT_TOL):
+        """ift_certificate(f, x, tol) with Df(X) replaced by the matrix j."""
+        dm = calculus.DerivativeMatrix(j, x, eval_map(f, x))
+        monkeypatch.setattr(calculus, "derivative_matrix", lambda f_, x_: dm)
+        return ift_certificate(f, x, tol)
+
+    @pytest.mark.parametrize("f, x", full_rank_cases())
+    def test_full_rank_takes_one_values_only_svd(self, f, x, svd_calls, monkeypatch):
+        j = derivative_matrix(f, x).matrix
+        assert 0 < j.shape[1] <= j.shape[0]
+        svd_calls.clear()
+        cert = self.certify(monkeypatch, f, x, j)
+        assert svd_calls == [(j.shape, False)]
+        s, null = kernel(j, calculus.IFT_TOL)
+        assert not len(null)
+        assert (cert.status, cert.kernel_dim) == ("full_rank", 0)
+        assert np.allclose(cert.singular_values, s, rtol=1e-13, atol=0)
+        assert abs(cert.sigma_min - s[-1]) <= 1e-13 * s[-1]
+        assert abs(cert.sigma_max - s[0]) <= 1e-13 * s[0]
+        assert cert.direction is cert.rep1 is cert.rep2 is cert.collision_residual is None
+
+    def test_square_collision_takes_no_vectors_of_the_jacobian(self, svd_calls):
+        f, x = square_map_at_diagonal()
+        j = derivative_matrix(f, x).matrix
+        assert j.shape == (9, 9)
+        svd_calls.clear()
+        cert = ift_certificate(f, x)
+        # the values-only SVD finds the rank deficit; the kernel's basis comes
+        # from a least-squares projection and the SVD of J on its span (9x2)
+        assert [uv for shape, uv in svd_calls if shape == (9, 9)] == [False]
+        assert (j.shape[0], 2) in [shape for shape, uv in svd_calls if uv]
+        ref = kernel_only_certificate(f, x)
+        assert (cert.status, cert.kernel_dim) == (ref.status, ref.kernel_dim) == ("collision", 2)
+        assert np.allclose(cert.singular_values, ref.singular_values, rtol=0,
+                           atol=1e-13 * ref.sigma_max)
+        assert cert.sigma_min == 0.0 and cert.sigma_max == ref.sigma_max
+        # the kernel is exact: E_12 and E_21
+        h = flatten_direction(cert.direction)
+        assert np.linalg.norm(j @ h) <= 1e-13 * cert.sigma_max
+        assert abs(h[[0, 2, 4, 5, 6, 7, 8]]).max() <= 1e-13
+        assert cert.collision_residual <= 1e-13 * cert.sigma_max
+        assert abs(cert.separation - 1) <= 1e-13
+
+    def test_wide_jacobian_takes_no_values_only_svd(self, svd_calls):
+        x = random_sch(41)
+        f = schur_map()
+        j = derivative_matrix(f, x).matrix
+        assert j.shape[1] > j.shape[0]
+        svd_calls.clear()
+        cert = ift_certificate(f, x)
+        assert (j.shape, False) not in svd_calls
+        assert cert.status == "collision"
+        assert_same_certificate(cert, kernel_only_certificate(f, x))
+
+    @pytest.mark.parametrize("f, x", full_rank_cases()[:3])
+    def test_values_only_svd_failure_falls_back_to_kernel(self, f, x, monkeypatch):
+        svd = np.linalg.svd
+
+        def values_only_fails(a, *args, **kwargs):
+            if kwargs.get("compute_uv", True) is False and np.shape(a) == want:
+                raise np.linalg.LinAlgError("SVD did not converge")
+            return svd(a, *args, **kwargs)
+
+        want = derivative_matrix(f, x).matrix.shape
+        monkeypatch.setattr(np.linalg, "svd", values_only_fails)
+        assert_same_certificate(ift_certificate(f, x), kernel_only_certificate(f, x))
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_cutoff_edge_values_decide_as_kernel(self, tol):
+        for f, x in (square_map_at_diagonal(), (catalog.ppt_map("pivot_D"), random_sch(42, 2, 3)),
+                     (schur_map(), random_sch(43))):
+            cert = ift_certificate(f, x, tol)
+            status, kernel_dim, smin = kernel_verdict(derivative_matrix(f, x).matrix, tol)
+            assert (cert.status, cert.kernel_dim) == (status, kernel_dim)
+            assert abs(cert.sigma_min - smin) <= 1e-13 * cert.sigma_max
+
+    def test_jacobians_with_an_empty_axis_decide_as_kernel(self):
+        arcless = Quiver(("u", "v"), ())
+        constant_target = Quiver(("u", "v"), (Arc("y", "u", "u"),))
+        source = Quiver(("u", "v"), (Arc("x", "v", "v"),))
+        cases = [
+            # no rows: a map onto a quiver without arcs
+            (FreeMapDef(sch_quiver(), arcless, {}), random_sch(44)),
+            # no columns: a constant entry over a source whose only arc is 0x0
+            (FreeMapDef(source, constant_target, {"y": Id("u")}),
+             random_rep(source, {"u": 2, "v": 0}, 45)),
+        ]
+        shapes = []
+        for f, x in cases:
+            j = derivative_matrix(f, x).matrix
+            shapes.append(j.shape)
+            for tol in (calculus.IFT_TOL, 0.0, -1.0, math.nan):
+                cert = ift_certificate(f, x, tol)
+                assert (cert.status, cert.kernel_dim, cert.sigma_min) == kernel_verdict(j, tol)
+        assert shapes == [(0, 25), (4, 0)]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_jacobian_raises_without_an_svd(self, bad, svd_calls, monkeypatch):
+        f = catalog.ppt_map("pivot_D")
+        x = random_sch(46, 2, 3)
+        j = derivative_matrix(f, x).matrix.copy()
+        j[3, 5] = bad
+        svd_calls.clear()
+        with pytest.raises(np.linalg.LinAlgError, match="kernel of a non-finite matrix"):
+            self.certify(monkeypatch, f, x, j)
+        assert svd_calls == []
+
+    def test_ppt_a_collision_at_the_cutoff(self):
+        # a 12/8 certify_jacobian point whose sigma_min / sigma_max is 6.48e-9,
+        # under IFT_TOL: a numerical-rank collision whose pair agrees only to
+        # first order, its images apart by about sigma_min
+        x = random_rep(catalog.sch_quiver(), {"u": 12, "v": 8}, 5972165932380560017)
+        cert = ift_certificate(catalog.ppt_map("pivot_A"), x)
+        assert cert.status == "collision" and cert.kernel_dim == 14
+        assert 6.4e-9 < cert.sigma_min / cert.sigma_max < 6.5e-9
+        assert abs(cert.collision_residual - 0.0104) < 5e-5
+        assert abs(cert.collision_residual - cert.sigma_min) <= 1e-6 * cert.sigma_min
+        assert abs(cert.separation - 1) <= 1e-12
+
 
 class TestChainRule:
     def test_identity_inner(self):

@@ -17,6 +17,7 @@ from freequiver.numerics import (
     pinv,
     rel_diff,
     rel_residual,
+    values_first_kernel,
     worst,
 )
 
@@ -150,6 +151,8 @@ class TestKernel:
         m = np.diag([2.0, 2e-9, 0.0]).astype(np.complex128)
         assert len(kernel(m, 1e-8)[1]) == 2
         assert len(kernel(m, 1e-10)[1]) == 1
+        assert len(kernel(m, 0.0)[1]) == 1  # a zero is never above the cutoff
+        assert len(values_first_kernel(m, 0.0)[1]) == 1
 
     def test_nullspace_falls_back_through_qr(self, monkeypatch):
         m = _rank_deficient(3, 6, 9, 4)
@@ -207,6 +210,75 @@ class TestKernel:
         assert basis.shape == (cols - 4, cols)
 
 
+class TestValuesFirstKernel:
+    @pytest.mark.parametrize("rows, cols, rank", [
+        (6, 6, 6), (9, 6, 6), (6, 6, 5), (9, 6, 4), (6, 9, 6), (7, 7, 0), (0, 4, 0), (3, 0, 0),
+        (0, 0, 0),
+    ])
+    @pytest.mark.parametrize("rtol", [1e-8, 0.0, -1.0, math.nan])
+    def test_kernels_verdict_without_the_matrixs_vectors(self, monkeypatch, rows, cols, rank,
+                                                         rtol):
+        m = _rank_deficient(rows + cols, rows, cols, rank)
+        s_kernel, basis_kernel = kernel(m, rtol)
+        svd, calls = np.linalg.svd, []
+
+        def recording(a, *args, **kwargs):
+            calls.append((np.shape(a), kwargs.get("compute_uv", True)))
+            return svd(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", recording)
+        got = values_first_kernel(m, rtol)
+        monkeypatch.undo()
+        assert (m.shape, True) not in calls
+        if not 0 < cols <= rows:
+            assert got is None and calls == []
+            return
+        assert calls[0] == (m.shape, False)
+        if len(basis_kernel) == cols:  # rank 0: kernel's basis is the identity
+            assert got is None
+            return
+        s, basis = got
+        assert np.allclose(s, s_kernel, rtol=1e-13, atol=1e-13 * s_kernel[0])
+        assert basis.shape == basis_kernel.shape
+        if len(basis):
+            assert np.allclose(basis @ basis.conj().T, np.eye(len(basis)), atol=1e-13)
+            assert np.allclose(_span_projector(basis), _span_projector(basis_kernel), atol=1e-12)
+            gains = np.linalg.norm(m @ basis.T, axis=0)
+            assert gains.max() <= 1e-12 * s[0]
+            assert gains[-1] == gains.min()
+
+    def test_cutoff_is_kernels(self):
+        m = np.diag([2.0, 2e-9, 1e-12]).astype(np.complex128)
+        s, basis = values_first_kernel(m, 1e-8)
+        assert np.array_equal(s, [2.0, 2e-9, 1e-12])
+        assert np.allclose(abs(basis), [[0, 1, 0], [0, 0, 1]], atol=1e-14)
+        s, basis = values_first_kernel(m, 1e-13)
+        assert np.array_equal(s, [2.0, 2e-9, 1e-12]) and basis.shape == (0, 3)
+
+    def test_cluster_under_the_cutoff_ends_at_the_least_gain(self):
+        # the basis spans the values under the cutoff; its last row is the
+        # smallest one's singular vector, as in kernel
+        rng = np.random.Generator(np.random.PCG64(7))
+        u = np.linalg.qr(_cplx(rng, 8, 8))[0]
+        v = np.linalg.qr(_cplx(rng, 8, 8))[0]
+        sigma = np.array([5.0, 3.0, 2.0, 1.0, 0.5, 4e-9, 2e-9, 1e-9])
+        m = (u * sigma) @ v.conj().T
+        s, basis = values_first_kernel(m, 1e-8)
+        assert np.allclose(s, sigma, rtol=1e-12, atol=1e-15)
+        assert basis.shape == (3, 8)
+        assert np.allclose(_span_projector(basis), _span_projector(v[:, 5:].T), atol=1e-7)
+        assert abs(np.linalg.norm(m @ basis[-1]) - 1e-9) <= 1e-6 * 1e-9
+        assert abs(abs(np.vdot(v[:, 7], basis[-1])) - 1) <= 1e-6
+
+    @pytest.mark.parametrize("failing", ["svd", "lstsq"])
+    def test_lapack_failure_is_none(self, monkeypatch, failing):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, failing, fails)
+        assert values_first_kernel(np.diag([1.0, 0.0, 2.0]), 1e-8) is None
+
+
 class TestNonFiniteOperands:
     # LAPACK's SVD with vectors raises on a NaN and can hang on an inf
     @pytest.fixture
@@ -224,6 +296,7 @@ class TestNonFiniteOperands:
         for fn in (lambda a: kernel(a, 1e-8), nullspace):
             with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
                 fn(m)
+        assert values_first_kernel(m.T, 1e-8) is None
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(1, np.inf)])
     def test_inverse_rule_fails_without_an_svd(self, no_svd, bad):

@@ -8,8 +8,9 @@ uncommitted edits included), each in its own child process that imports the
 package from the tree's src/. BLAS runs at one thread unless
 --default-threads leaves the thread variables as the caller set them. Every
 record that differs is printed, with the path of each differing field when
-the record is JSON structure; the exit status is 0 when none does, 1 when
-some do and 2 when a child fails.
+the record is JSON structure, and the relative gap of two differing float.hex
+values; the exit status is 0 when none does, 1 when some do and 2 when a
+child fails.
 
 The corpus:
 
@@ -34,7 +35,8 @@ The corpus:
   and rep2), or the error raised, over the regularity maps, two catalog
   polynomial maps, two random polynomial maps, a map whose vertex_map swaps
   the vertices and a map onto a quiver without arcs, at the regularity
-  corpus's profiles and points;
+  corpus's profiles and points, and x -> x^2 at diag(1, -1, 2), whose square
+  J has a kernel;
 * intertwiners: the bytes of intertwiner_space bases for a point and itself,
   a conjugate, a random point and its direct sum with another, on five
   quivers (one without arcs);
@@ -308,6 +310,11 @@ def calculus_outputs(f, x):
 
 
 def calculus_records():
+    import numpy as np
+
+    import freequiver as fq
+    from freequiver.exprs import Atom, Mul
+
     for label, f in calculus_maps():
         q = f.source_quiver
         for profile in PROFILES[len(q.vertices)]:
@@ -316,6 +323,14 @@ def calculus_records():
                 key = f"{label}/{'x'.join(map(str, profile))}/{point}"
                 for name, value in calculus_outputs(f, x):
                     yield f"{name}/{key}", value
+    # x -> x^2 at diag(1, -1, 2): a square 9x9 J with a kernel of dimension 2,
+    # so a collision is certified from a J that is not wide (its direction
+    # comes from numerics.values_first_kernel, not from J's singular vectors)
+    loop = fq.classical_embed(1)
+    square = fq.FreeMapDef(loop, loop, {"x": Mul((Atom("x"), Atom("x")))})
+    x = fq.Rep(loop, {"u": 3}, {"x": np.diag([1.0, -1.0, 2.0]).astype(np.complex128)})
+    for name, value in calculus_outputs(square, x):
+        yield f"{name}/square/3/diag", value
 
 
 def block_tol_records():
@@ -526,13 +541,27 @@ def field_diffs(base, head, path=""):
         yield path, base, head
 
 
+def hex_gap(base, head) -> str:
+    """A line with the relative gap |base - head| / max(|base|, |head|) when
+    both values are float.hex strings, else nothing."""
+    if not all(isinstance(v, str) and v.lstrip("-").startswith("0x") for v in (base, head)):
+        return ""
+    try:
+        b, h = float.fromhex(base), float.fromhex(head)
+    except ValueError:
+        return ""
+    scale = max(abs(b), abs(h))
+    return f"\n    rel gap: {abs(b - h) / scale if scale else 0.0:.3g}"
+
+
 def compare(base: dict, head: dict) -> list[str]:
     lines = []
     for key in list(base) + [k for k in head if k not in base]:
         diffs = list(field_diffs(base.get(key, "<absent>"), head.get(key, "<absent>")))
         if diffs:
             lines.append(key + "".join(f"\n  {path or '.'}\n    base: {json.dumps(b)}\n"
-                                       f"    head: {json.dumps(h)}" for path, b, h in diffs))
+                                       f"    head: {json.dumps(h)}" + hex_gap(b, h)
+                                       for path, b, h in diffs))
     return lines
 
 
