@@ -31,13 +31,11 @@ from .reps import (
     NatAuto,
     NatTrans,
     Rep,
-    adjoint_rep,
     check_nat_trans,
     check_relations,
     conjugate,
     direct_sum,
     eval_path,
-    identity_auto,
     intertwiner_space,
     random_auto,
     random_rep,
@@ -72,7 +70,6 @@ from .exprs import (
     random_polynomial_map,
     render_expr,
     scale,
-    scale_map,
     sub,
     to_monomials,
     typecheck,
@@ -90,7 +87,6 @@ from .calculus import (
     gamma_commutation_check,
     ift_certificate,
     leibniz_check,
-    matrix_unit_direction,
     nilpotent_coefficients,
     nilpotent_matrix,
     observed_order,

@@ -47,7 +47,6 @@ from .exprs import (
 )
 from .numerics import (
     frob_norms,
-    joint_frob_norm,
     kernel,
     op_norms,
     rel_diff,
@@ -89,34 +88,9 @@ class DirectionField:
         self.h_mats = arc_matrices(self.base, self.h_mats, "direction ")
 
 
-def zero_direction(x: Rep) -> DirectionField:
-    return DirectionField(x, {a: np.zeros_like(m) for a, m in x.mats.items()})
-
-
 def random_direction(x: Rep, seed: int) -> DirectionField:
     """A direction at x with random_rep's entries for the same seed."""
     return DirectionField(x, random_rep(x.quiver, x.dims, seed).mats)
-
-
-def matrix_unit_direction(x: Rep, arc: str, i: int, j: int) -> DirectionField:
-    h = zero_direction(x)
-    h.h_mats[arc][i, j] = 1.0
-    return h
-
-
-def direction_add(h: DirectionField, k: DirectionField) -> DirectionField:
-    return DirectionField(
-        h.base, {a: h.h_mats[a] + k.h_mats[a] for a in h.h_mats}
-    )
-
-
-def direction_scale(c, h: DirectionField) -> DirectionField:
-    return DirectionField(h.base, {a: c * m for a, m in h.h_mats.items()})
-
-
-def direction_norm(h: DirectionField) -> float:
-    """Stacked Frobenius norm over all components."""
-    return joint_frob_norm(h.h_mats.values())
 
 
 def direction_residual(h: DirectionField, k: DirectionField) -> float:

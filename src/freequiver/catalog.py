@@ -75,10 +75,6 @@ def smw_quiver() -> Quiver:
     )
 
 
-def _loops(*names: str) -> Quiver:
-    return Quiver(("u",), tuple(Arc(n, "u", "u") for n in names))
-
-
 # ---------------------------------------------------------------------------
 # Schur complement and principal pivot transform
 
@@ -339,31 +335,6 @@ def sandwich_rational_map() -> FreeMapDef:
         "z": mul(x, inv(sub(y, x)), y),
     }
     return FreeMapDef(classical_embed(2), classical_embed(3), entries)
-
-
-def sandwich_rational_factors() -> tuple[FreeMapDef, ...]:
-    """sandwich_rational_map as a chain of one-inversion-at-a-time stages.
-
-    Returns (ell, j, i, g) with g o i o j o ell == sandwich_rational_map:
-    each stage either adjoins a new generator or is a plain polynomial, so
-    rational maps arise as finite compositions of polynomial and inversion
-    maps.
-    """
-    x, y, z, w, v = (Atom(n) for n in ("x", "y", "z", "w", "v"))
-    q2 = classical_embed(2)
-    q3 = _loops("x", "y", "z")
-    q4 = _loops("x", "y", "z", "w")
-    q5 = _loops("x", "y", "z", "w", "v")
-    ell = FreeMapDef(q2, q3, {"x": x, "y": y, "z": sub(y, x)})
-    j = FreeMapDef(q3, q4, {"x": x, "y": y, "z": z, "w": inv(z)})
-    i = FreeMapDef(q4, q5, {"x": x, "y": y, "z": z, "w": w, "v": inv(x)})
-    g = FreeMapDef(
-        q5,
-        classical_embed(3),
-        # third component multiplies through the inverted generator w, not z
-        {"x": mul(v, y, y), "y": scale(3, sub(mul(y, x), mul(x, y))), "z": mul(x, w, y)},
-    )
-    return ell, j, i, g
 
 
 # ---------------------------------------------------------------------------

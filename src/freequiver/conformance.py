@@ -6,11 +6,18 @@ basis of End(x) ⊕ End(x), solved for as End(x)), and — at points where
 the derivative certificate reports full rank — that it also reflects them
 (every intertwiner of the images comes from an intertwiner of the inputs).
 Every trial is reproducible from (master_seed, trial_index, check_name) alone.
+
+For each check, the trials of one dimension profile (trial index ≡ p modulo
+the number of profiles) run as one stack: every trial draws its own points
+from its own seed, the stack is evaluated at once, and the outcomes are
+recorded in trial order, bit for bit those of the trials run one by one. A
+stack that raises RegularityError or BlockMismatchError runs again as stacks
+of one. lemma_part1 runs trial by trial.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from hashlib import blake2b
 from typing import Mapping, Sequence
 
@@ -18,20 +25,22 @@ import numpy as np
 
 from .calculus import ift_certificate
 from .errors import BlockMismatchError, RegularityError
-from .exprs import FreeMapDef, MapLike, apply_map
+from .exprs import FreeMapDef, MapLike, apply_map, eval_entries
 from .numerics import worst
 from .quivers import Quiver
 from .reps import (
-    NatAuto,
     NatTrans,
     Rep,
+    RepStack,
     check_nat_trans,
     conjugate,
     direct_sum,
     intertwiner_space,
+    nat_trans_residuals,
     random_auto,
     random_rep,
     rep_residual,
+    stack_reps,
 )
 
 CHECK_NAMES = ("direct_sum", "similarity", "intertwine", "lemma_part1")
@@ -60,31 +69,26 @@ class TrialPlan:
     tolerance: float = 1e-7
     checks: tuple[str, ...] = CHECK_NAMES
 
-    def __init__(self, master_seed: int, trials: int,
-                 dim_profiles: Sequence[Mapping[str, int]],
-                 tolerance: float = 1e-7,
-                 checks: Sequence[str] = CHECK_NAMES):
-        if not 0 <= int(master_seed) < 2 ** 64:
+    def __post_init__(self):
+        if not 0 <= int(self.master_seed) < 2 ** 64:
             raise ValueError("master_seed must fit in 64 bits")
-        if trials < 1:
+        if self.trials < 1:
             raise ValueError("need at least one trial")
-        profiles = tuple(dict(p) for p in dim_profiles)
+        profiles = tuple(dict(p) for p in self.dim_profiles)
         if not profiles:
             raise ValueError("need at least one dimension profile")
-        for p in profiles:
-            for v, n in p.items():
-                if n < 0:
-                    raise ValueError(f"negative dimension for vertex {v!r}")
-        unknown = set(checks) - set(CHECK_NAMES)
+        negative = [v for p in profiles for v, n in p.items() if n < 0]
+        if negative:
+            raise ValueError(f"negative dimension for vertex {negative[0]!r}")
+        unknown = set(self.checks) - set(CHECK_NAMES)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
         # canonical order keeps reports stable under permuted inputs
-        ordered = tuple(c for c in CHECK_NAMES if c in set(checks))
-        object.__setattr__(self, "master_seed", int(master_seed))
-        object.__setattr__(self, "trials", int(trials))
-        object.__setattr__(self, "dim_profiles", profiles)
-        object.__setattr__(self, "tolerance", float(tolerance))
-        object.__setattr__(self, "checks", ordered)
+        ordered = tuple(c for c in CHECK_NAMES if c in set(self.checks))
+        for name, value in (("master_seed", int(self.master_seed)), ("trials", int(self.trials)),
+                            ("dim_profiles", profiles), ("tolerance", float(self.tolerance)),
+                            ("checks", ordered)):
+            object.__setattr__(self, name, value)
 
 
 @dataclass
@@ -111,14 +115,7 @@ class CheckStats:
             self.failing_seeds = self.failing_seeds + ((trial_index, seed),)
 
     def as_dict(self) -> dict:
-        return {
-            "executed": self.executed,
-            "skipped": self.skipped,
-            "passes": self.passes,
-            "failures": self.failures,
-            "max_residual": self.max_residual,
-            "failing_seeds": [list(fs) for fs in self.failing_seeds],
-        }
+        return {**asdict(self), "failing_seeds": [list(fs) for fs in self.failing_seeds]}
 
 
 @dataclass(eq=False)
@@ -149,106 +146,140 @@ class ConformanceReport:
         return out
 
 
-def _source_quiver(f: MapLike, source_quiver: Quiver | None) -> Quiver:
-    if isinstance(f, FreeMapDef):
-        return f.source_quiver
-    if source_quiver is None:
-        raise ValueError("a raw callable needs an explicit source_quiver")
-    return source_quiver
-
-
 def _image_vertex(f: MapLike, v: str) -> str:
     # image vertices correspond to source vertices; callables keep names
     return f.vertex_map[v] if isinstance(f, FreeMapDef) else v
 
 
-def _image_auto(f: MapLike, image: Rep, s: NatAuto) -> NatAuto:
-    return NatAuto(image, {v: s.s_mats[_image_vertex(f, v)] for v in image.quiver.vertices})
+def _images(f: MapLike, x: RepStack) -> RepStack:
+    """f at every point of x, stacked alike: one evaluation of a FreeMapDef,
+    or one call of a raw callable per point."""
+    if not isinstance(f, FreeMapDef):
+        return stack_reps([f(Rep(x.quiver, dict(x.dims), {a: m[b] for a, m in x.mats.items()}))
+                           for b in range(x.size)])
+    dims = {v: x.dims[f.vertex_map[v]] for v in f.target_quiver.vertices}
+    # an entry that reads no arc (an identity) is one matrix for every point
+    mats = {a: np.broadcast_to(m, (x.size,) + m.shape[-2:]) for a, m in eval_entries(f, x).items()}
+    return RepStack(f.target_quiver, dims, mats, x.size)
 
 
-def _push_intertwiner(f: MapLike, to_image: Rep, from_image: Rep,
-                      gammas: Mapping[str, np.ndarray]) -> NatTrans:
-    pushed = {v: gammas[_image_vertex(f, v)] for v in to_image.quiver.vertices}
-    return NatTrans(from_image, to_image, pushed)
-
-
-def _run_cell(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
-              seed: int) -> float | None:
-    """One (trial, check) cell. Returns the residual, or None to skip."""
-    x = random_rep(q, profile, _hash_seed(f"{seed}:x"))
+def _run_stack(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
+               seeds: Sequence[int]) -> list[float | None]:
+    """The trials of one check at one dimension profile, one per seed, as one
+    stack: each draws its points from its own seed and the stack is evaluated
+    at once. Returns each trial's residual, or None to skip it."""
+    xs = [random_rep(q, profile, _hash_seed(f"{seed}:x")) for seed in seeds]
+    if check == "lemma_part1":
+        return [_lemma_part1(f, q, p, seed) for p, seed in zip(xs, seeds)]
+    x = stack_reps(xs)
     if check == "direct_sum":
-        y = random_rep(q, profile, _hash_seed(f"{seed}:y"))
-        left = apply_map(f, direct_sum(x, y))
-        right = direct_sum(apply_map(f, x), apply_map(f, y))
-        return rep_residual(left, right)
+        y = stack_reps([random_rep(q, profile, _hash_seed(f"{seed}:y")) for seed in seeds])
+        left = _images(f, direct_sum(x, y))
+        return rep_residual(left, direct_sum(_images(f, x), _images(f, y)))
 
     if check == "similarity":
-        s = random_auto(x, _hash_seed(f"{seed}:s"))
-        left = apply_map(f, conjugate(x, s))
-        fx = apply_map(f, x)
-        right = conjugate(fx, _image_auto(f, fx, s))
-        return rep_residual(left, right)
+        autos = [random_auto(p, _hash_seed(f"{seed}:s")) for p, seed in zip(xs, seeds)]
+        s = {v: np.stack([a.s_mats[v] for a in autos]) for v in q.vertices}
+        left = _images(f, conjugate(x, s))
+        fx = _images(f, x)
+        fs = {w: s[_image_vertex(f, w)] for w in fx.quiver.vertices}
+        return rep_residual(left, conjugate(fx, fs))
 
     if check == "intertwine":
         ends = intertwiner_space(x, x)
-        if not ends:
-            return None
-        f_big, f_x = apply_map(f, direct_sum(x, x)), apply_map(f, x)
-        # Hom(x, x ⊕ x) = End(x) ⊕ End(x): [G; 0], [0; G] span it orthonormally
-        return worst(
-            check_nat_trans(_push_intertwiner(f, f_big, f_x, {
-                v: np.vstack((g, np.zeros_like(g))[::step]) for v, g in gamma.gammas.items()
-            })).max_residual
-            for gamma in ends for step in (1, -1)
-        )
-
-    if check == "lemma_part1":
-        if not isinstance(f, FreeMapDef):
-            return None  # the certificate needs a symbolic map
-        image_verts = {f.vertex_map[v] for v in f.target_quiver.vertices}
-        if image_verts != set(q.vertices) or len(f.target_quiver.vertices) != len(q.vertices):
-            return None  # lifts need a one-to-one object correspondence
-        inverse_vmap = {f.vertex_map[v]: v for v in f.target_quiver.vertices}
-        s = random_auto(x, _hash_seed(f"{seed}:s"))
-        y = conjugate(x, s)
-        cert = ift_certificate(f, direct_sum(x, y))
-        if cert.status != "full_rank":
-            return None  # no injectivity evidence at this point
-        fx, fy = apply_map(f, x), apply_map(f, y)
-        basis = intertwiner_space(fx, fy)
-        if not basis:
-            return None
-        return worst(
-            check_nat_trans(
-                NatTrans(y, x, {w: gamma.gammas[inverse_vmap[w]] for w in q.vertices})
-            ).max_residual
-            for gamma in basis
-        )
+        # a point with no End(x) skips before f is evaluated, as it does alone
+        kept = [b for b, basis in enumerate(ends) if basis]
+        out: list[float | None] = [None] * len(seeds)
+        if not kept:
+            return out
+        x = stack_reps([xs[b] for b in kept])
+        f_big, f_x = _images(f, direct_sum(x, x)), _images(f, x)
+        # Hom(x, x ⊕ x) = End(x) ⊕ End(x): [G; 0], [0; G] span it orthonormally.
+        # Items 2j and 2j + 1 take the j-th G of the kept points in order, and
+        # owner[i] is the kept point of item i.
+        owner = np.repeat([k for k, b in enumerate(kept) for _ in ends[b]], 2)
+        pushed = {}
+        for v in q.vertices:
+            g = np.stack([gamma[v] for b in kept for gamma in ends[b]])
+            n = g.shape[-1]
+            items = np.zeros((len(g), 2, 2 * n, n), dtype=np.complex128)
+            items[:, 0, :n], items[:, 1, n:] = g, g
+            pushed[v] = items.reshape(2 * len(g), 2 * n, n)
+        per_arc = nat_trans_residuals(
+            *(RepStack(r.quiver, r.dims, {a: m[owner] for a, m in r.mats.items()}, len(owner))
+              for r in (f_big, f_x)),
+            {w: pushed[_image_vertex(f, w)] for w in f_x.quiver.vertices})
+        for k, b in enumerate(kept):
+            out[b] = worst(r[i] for r in per_arc.values() for i in np.flatnonzero(owner == k))
+        return out
 
     raise ValueError(f"unknown check: {check!r}")
 
 
+def _lemma_part1(f: MapLike, q: Quiver, x: Rep, seed: int) -> float | None:
+    """One lemma_part1 trial at the point x."""
+    if not isinstance(f, FreeMapDef):
+        return None  # the certificate needs a symbolic map
+    image_verts = {f.vertex_map[v] for v in f.target_quiver.vertices}
+    if image_verts != set(q.vertices) or len(f.target_quiver.vertices) != len(q.vertices):
+        return None  # lifts need a one-to-one object correspondence
+    inverse_vmap = {f.vertex_map[v]: v for v in f.target_quiver.vertices}
+    s = random_auto(x, _hash_seed(f"{seed}:s"))
+    y = conjugate(x, s)
+    cert = ift_certificate(f, direct_sum(x, y))
+    if cert.status != "full_rank":
+        return None  # no injectivity evidence at this point
+    fx, fy = apply_map(f, x), apply_map(f, y)
+    basis = intertwiner_space(fx, fy)
+    if not basis:
+        return None
+    return worst(
+        check_nat_trans(
+            NatTrans(y, x, {w: gamma.gammas[inverse_vmap[w]] for w in q.vertices})
+        ).max_residual
+        for gamma in basis
+    )
+
+
+def _residuals(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
+               seeds: Sequence[int]) -> list[float | None]:
+    """_run_stack, and on RegularityError or BlockMismatchError again as stacks
+    of one, so that exactly the trials that raise on their own are skipped."""
+    try:
+        return _run_stack(f, q, check, profile, seeds)
+    except (RegularityError, BlockMismatchError):
+        if len(seeds) == 1:
+            return [None]
+        return [r for seed in seeds for r in _residuals(f, q, check, profile, [seed])]
+
+
 def run_conformance(f: MapLike, plan: TrialPlan,
                     source_quiver: Quiver | None = None) -> ConformanceReport:
-    """Run every planned check for every trial and fold the outcomes.
+    """Run every planned check for every trial, profile by profile in
+    stacks, and fold the outcomes in trial order.
 
     Points where an inverse fails or a certificate's blocks break (no
     evidence), or where a check is not applicable, are counted as skipped,
     never silently dropped; failures record the seed that reproduces them.
     """
-    q = _source_quiver(f, source_quiver)
+    q = f.source_quiver if isinstance(f, FreeMapDef) else source_quiver
+    if q is None:
+        raise ValueError("a raw callable needs an explicit source_quiver")
     for p in plan.dim_profiles:
         missing = set(q.vertices) - set(p)
         if missing:
             raise ValueError(f"dimension profile misses vertices: {sorted(missing)}")
     report = ConformanceReport(plan, {name: CheckStats() for name in plan.checks})
-    for idx in range(plan.trials):
-        profile = plan.dim_profiles[idx % len(plan.dim_profiles)]
-        for check in plan.checks:
-            seed = trial_seed(plan.master_seed, idx, check)
-            try:
-                residual = _run_cell(f, q, check, profile, seed)
-            except (RegularityError, BlockMismatchError):
-                residual = None
-            report.stats[check].record(idx, seed, residual, plan.tolerance)
+    n_profiles = len(plan.dim_profiles)
+    for check in plan.checks:
+        seeds = [trial_seed(plan.master_seed, idx, check) for idx in range(plan.trials)]
+        residuals: list[float | None] = [None] * plan.trials
+        for p, profile in enumerate(plan.dim_profiles[:plan.trials]):
+            idxs = list(range(p, plan.trials, n_profiles))
+            for stack in [[i] for i in idxs] if check == "lemma_part1" else [idxs]:
+                got = _residuals(f, q, check, profile, [seeds[i] for i in stack])
+                for i, r in zip(stack, got):
+                    residuals[i] = r
+        for idx, (seed, r) in enumerate(zip(seeds, residuals)):
+            report.stats[check].record(idx, seed, r, plan.tolerance)
     return report

@@ -537,15 +537,6 @@ def add_maps(f: FreeMapDef, g: FreeMapDef) -> FreeMapDef:
     )
 
 
-def scale_map(k, f: FreeMapDef) -> FreeMapDef:
-    return FreeMapDef(
-        f.source_quiver,
-        f.target_quiver,
-        {r: normalize(Scale(k, e)) for r, e in f.entries.items()},
-        dict(f.vertex_map),
-    )
-
-
 def _require_same_frame(f: FreeMapDef, g: FreeMapDef) -> None:
     if (
         f.source_quiver != g.source_quiver

@@ -96,12 +96,13 @@ def frob_norms(m) -> np.ndarray:
 
 
 def rel_residual(raw, *operands):
-    """raw / (1 + product of operand 2-norms). Matrix operands may be stacked
-    (..., rows, cols), with raw one value per matrix; the residuals then come
-    back as an array, one per matrix."""
+    """raw / (1 + product of operand 2-norms). An operand is a matrix, or a
+    norm already taken: a scalar, or one value per matrix of a stack. Matrix
+    operands may be stacked (..., rows, cols), with raw one value per matrix;
+    the residuals then come back as an array, one per matrix."""
     denom = 1.0
     for m in operands:
-        denom = denom * (abs(m) if np.isscalar(m) else op_norms(m))
+        denom = denom * (abs(m) if np.ndim(m) < 2 else op_norms(m))
     out = np.asarray(raw, dtype=np.float64) / (1.0 + denom)
     return float(out) if out.ndim == 0 else out
 
@@ -188,8 +189,21 @@ def values_first_kernel(m, rtol: float) -> tuple[np.ndarray, np.ndarray] | None:
 
 
 def nullspace(m) -> np.ndarray:
-    """kernel's basis of m at rtol = max(shape) * machine eps * 10."""
-    return kernel(m, max(np.shape(m)) * _EPS * 10.0)[1]
+    """kernel's basis of m at rtol = max(rows, cols) * machine eps * 10. For a
+    stack (B, rows, cols), B bases from one stacked SVD (LAPACK takes it matrix
+    by matrix, so each keeps its bits), or from kernel per matrix when the
+    stack is empty, not finite or does not converge."""
+    rtol = max(np.shape(m)[-2:]) * _EPS * 10.0
+    if np.ndim(m) == 2:
+        return kernel(m, rtol)[1]
+    a = np.asarray(m, dtype=np.complex128)
+    try:
+        if a.size and np.isfinite(a).all():
+            _, s, vh = np.linalg.svd(a, full_matrices=a.shape[-2] <= a.shape[-1])
+            return [np.conj(vb[_rank(sb, rtol):]) for sb, vb in zip(s, vh)]
+    except np.linalg.LinAlgError:
+        pass
+    return [kernel(one, rtol)[1] for one in a]
 
 
 def pinv(m) -> np.ndarray:

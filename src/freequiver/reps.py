@@ -7,13 +7,16 @@ arc squares commute; the intertwiner space is computed by vectorizing all
 per-vertex unknowns into one homogeneous linear system and taking its SVD
 nullspace. Every block point [[X, U], [0, Y]] (the direct sum is U = 0, the
 block trick's derivative point is [[X, H], [0, X]]) comes from block_points,
-as one point or a stack of them.
+as one point or a stack of them. Functions that also take a RepStack treat
+all its points in one numpy call per arc or vertex; LAPACK and BLAS run it
+matrix by matrix, so each point keeps the bits it has alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping, NamedTuple
+from itertools import accumulate
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .numerics import (
     is_invertible,
     joint_frob_norm,
     nullspace,
-    op_norm,
+    op_norms,
     rel_diff,
     rel_residual,
     worst,
@@ -96,10 +99,13 @@ def rep_distance(x: Rep, y: Rep) -> float:
 
 def rep_residual(x: Rep, y: Rep) -> float:
     """Max relative arc-matrix difference between two same-shape reps; 0.0
-    over a quiver without arcs."""
+    over a quiver without arcs. For RepStacks, a list of one per point."""
     if x.quiver != y.quiver or x.dims != y.dims:
         raise ValueError("reps live on different quivers or dimension profiles")
-    return worst(rel_diff(x.mats[a], y.mats[a]) for a in x.quiver.arc_names())
+    diffs = [rel_diff(x.mats[a], y.mats[a]) for a in x.quiver.arc_names()]
+    if isinstance(x, Rep):
+        return worst(diffs)
+    return [worst(d[b] for d in diffs) for b in range(x.size)]
 
 
 def eval_path(x: Rep, p: Path) -> np.ndarray:
@@ -120,12 +126,30 @@ class Points(NamedTuple):
     mats: dict[str, np.ndarray]
 
 
+class RepStack(NamedTuple):
+    """size reps of one dimension profile over one quiver, their arc matrices
+    stacked (size, rows, cols) in order; eval_expr takes it as it takes
+    Points. The size holds even where the quiver has no arcs."""
+
+    quiver: Quiver
+    dims: dict[str, int]
+    mats: dict[str, np.ndarray]
+    size: int
+
+
+def stack_reps(reps: Sequence[Rep]) -> RepStack:
+    """Reps of the first one's quiver and dimension profile as one RepStack."""
+    first = reps[0]
+    return RepStack(first.quiver, dict(first.dims),
+                    {a: np.stack([r.mats[a] for r in reps]) for a in first.mats}, len(reps))
+
+
 def block_points(x: Rep, y: Rep, u: Mapping | None = None) -> Points:
     """Arc a -> [[X(a), U(a)], [0, Y(a)]] over the shared quiver, dims summed
-    per vertex: U(a) is x.dims[dst] by y.dims[src], one matrix or a stack
-    (..., rows, cols) that stacks the blocks alike, and zero without u (the
-    direct sum). A free map's upper-right blocks at [[X, H], [0, X]] are its
-    derivative Df(X)[H]."""
+    per vertex: U(a) is x.dims[dst] by y.dims[src], and zero without u (the
+    direct sum). Each of x, y (Reps or RepStacks) and U may be one point or
+    a stack (..., rows, cols), the stacks of one shape. A free map's
+    upper-right blocks at [[X, H], [0, X]] are its derivative Df(X)[H]."""
     if x.quiver != y.quiver:
         raise ValueError("block points need reps over the same quiver")
     extra = sorted(set(u) - set(x.mats)) if u else []
@@ -135,16 +159,18 @@ def block_points(x: Rep, y: Rep, u: Mapping | None = None) -> Points:
     mats = {}
     for a in x.quiver.arcs:
         xm, ym = x.mats[a.name], y.mats[a.name]
-        rows, cols = xm.shape
+        rows, cols = xm.shape[-2:]
+        lead = max(xm.shape[:-2], ym.shape[:-2], key=len)
         if u is None:
-            m = np.zeros((dims[a.dst], dims[a.src]), dtype=np.complex128)
+            m = np.zeros(lead + (dims[a.dst], dims[a.src]), dtype=np.complex128)
         else:
             if a.name not in u:
                 raise ValueError(f"missing upper-right block for arc {a.name!r}")
-            um, want = np.asarray(u[a.name]), (rows, ym.shape[1])
+            um, want = np.asarray(u[a.name]), (rows, ym.shape[-1])
             if um.shape[-2:] != want:
                 raise ValueError(f"block at {a.name!r}: upper-right shape {um.shape} != {want}")
-            m = np.zeros(um.shape[:-2] + (dims[a.dst], dims[a.src]), dtype=np.complex128)
+            lead = max(lead, um.shape[:-2], key=len)
+            m = np.zeros(lead + (dims[a.dst], dims[a.src]), dtype=np.complex128)
             m[..., :rows, cols:] = um
         m[..., :rows, :cols] = xm
         m[..., rows:, cols:] = ym
@@ -154,17 +180,9 @@ def block_points(x: Rep, y: Rep, u: Mapping | None = None) -> Points:
 
 def direct_sum(x: Rep, y: Rep) -> Rep:
     """Blockwise direct sum: dims add per vertex, arc matrices become
-    [[X(a), 0], [0, Y(a)]]."""
-    return Rep(x.quiver, *block_points(x, y))
-
-
-def adjoint_rep(x: Rep) -> Rep:
-    """Arc a -> X(a)* over the arc-reversed quiver (same quiver when every
-    arc is a loop, the only case where pairing with the original typechecks)."""
-    rev = Quiver(x.quiver.vertices, tuple((a.name, a.dst, a.src) for a in x.quiver.arcs))
-    mats = {a: np.conj(m).T for a, m in x.mats.items()}
-    dims = dict(x.dims)
-    return Rep(rev, dims, mats)
+    [[X(a), 0], [0, Y(a)]]; of two RepStacks, point by point."""
+    p = block_points(x, y)
+    return Rep(x.quiver, *p) if isinstance(x, Rep) else x._replace(dims=p.dims, mats=p.mats)
 
 
 @dataclass(eq=False)
@@ -205,20 +223,20 @@ class NatAuto:
         return NatAuto(self.rep, {v: np.linalg.inv(s) for v, s in self.s_mats.items()})
 
 
-def identity_auto(x: Rep) -> NatAuto:
-    return NatAuto(x, {v: np.eye(x.dims[v], dtype=np.complex128) for v in x.quiver.vertices})
-
-
-def conjugate(x: Rep, s: NatAuto) -> Rep:
-    """Arc a -> S_dst^{-1} X(a) S_src."""
-    if s.rep.quiver != x.quiver or s.rep.dims != x.dims:
-        raise ValueError("automorphism shaped for a different rep")
+def conjugate(x: Rep, s: NatAuto | Mapping[str, np.ndarray]) -> Rep:
+    """Arc a -> S_dst^{-1} X(a) S_src, for a NatAuto s of x; or for a
+    RepStack x, with s mapping each vertex to the stack (size, n, n) of its
+    automorphisms, one per point, already known to be invertible."""
+    if isinstance(s, NatAuto):
+        if s.rep.quiver != x.quiver or s.rep.dims != x.dims:
+            raise ValueError("automorphism shaped for a different rep")
+        s = s.s_mats
     mats = {}
     for a in x.quiver.arcs:
-        mats[a.name] = np.linalg.solve(
-            s.s_mats[a.dst], x.mats[a.name] @ s.s_mats[a.src]
-        ) if x.dims[a.dst] else np.zeros((0, x.dims[a.src]))
-    return Rep(x.quiver, dict(x.dims), mats)
+        xm = x.mats[a.name]
+        mats[a.name] = np.linalg.solve(s[a.dst], xm @ s[a.src]) if x.dims[a.dst] else np.zeros(
+            xm.shape[:-2] + (0, x.dims[a.src]), dtype=np.complex128)
+    return Rep(x.quiver, dict(x.dims), mats) if isinstance(x, Rep) else x._replace(mats=mats)
 
 
 @dataclass
@@ -234,61 +252,66 @@ class ResidualReport:
 
 
 def check_nat_trans(g: NatTrans, tol: float = DEFAULT_TOL) -> ResidualReport:
-    """Max over generating arcs of
-    ||X(a) G_src - G_dst Y(a)|| / (1 + ||X(a)|| * max_v ||G_v||).
-    Generating arcs suffice because the path category is free on them."""
-    x, y = g.to_rep, g.from_rep
-    gamma_scale = worst(op_norm(m) for m in g.gammas.values())
-    per_arc = {}
-    for a in x.quiver.arcs:
-        raw = op_norm(x.mats[a.name] @ g.gammas[a.src] - g.gammas[a.dst] @ y.mats[a.name])
-        per_arc[a.name] = rel_residual(raw, x.mats[a.name], gamma_scale)
+    """Max over generating arcs of nat_trans_residuals."""
+    per_arc = nat_trans_residuals(g.to_rep, g.from_rep, g.gammas)
     res = worst(per_arc.values())
     return ResidualReport("nat_trans", res, tol, res <= tol, per_arc)
 
 
+def nat_trans_residuals(x: Rep, y: Rep, gammas: Mapping[str, np.ndarray]) -> dict:
+    """Per generating arc a,
+    ||X(a) G_src - G_dst Y(a)|| / (1 + ||X(a)|| * max_v ||G_v||)
+    for the transformation y -> x with per-vertex matrices gammas; or, for
+    RepStacks x and y with gammas stacked alike (size, rows, cols), one
+    transformation per point, an array of one residual per point.
+    Generating arcs suffice because the path category is free on them."""
+    gamma_scale = np.max([op_norms(m) for m in gammas.values()], axis=0, initial=0.0)
+    return {a.name: rel_residual(
+        op_norms(x.mats[a.name] @ gammas[a.src] - gammas[a.dst] @ y.mats[a.name]),
+        x.mats[a.name], gamma_scale) for a in x.quiver.arcs}
+
+
 def intertwiner_space(x: Rep, y: Rep) -> list[NatTrans]:
     """Orthonormal basis (stacked-vector inner product) of all natural
-    transformations y -> x.
+    transformations y -> x. For RepStacks x and y of one size, one basis
+    per point, each a list of per-vertex matrix dicts.
 
     The equations X(a) G_src - G_dst Y(a) = 0 over all arcs are assembled into
     one homogeneous system via row-major vectorization:
         vec(A M) = (A kron I) vec(M),   vec(M B) = (I kron B^T) vec(M),
-    and solved with an SVD nullspace at the numerics module's rank cutoff.
+    whose nonzero entries are written on the blocks' diagonals, and solved
+    with an SVD nullspace at the numerics module's rank cutoff, one stacked
+    SVD for a stack.
     """
     if x.quiver != y.quiver:
         raise ValueError("intertwiner space needs reps over the same quiver")
     q = x.quiver
     sizes = {v: x.dims[v] * y.dims[v] for v in q.vertices}
-    offsets = {}
-    total = 0
-    for v in q.vertices:
-        offsets[v] = total
-        total += sizes[v]
+    offsets = dict(zip(q.vertices, accumulate(sizes.values(), initial=0)))
     rows = sum(x.dims[a.dst] * y.dims[a.src] for a in q.arcs)
-    system = np.zeros((rows, total), dtype=np.complex128)
+    lead = () if isinstance(x, Rep) else (x.size,)
+    system = np.zeros(lead + (rows, sum(sizes.values())), dtype=np.complex128)
     r0 = 0
     for a in q.arcs:
-        n_rows = x.dims[a.dst] * y.dims[a.src]
-        if n_rows:
-            if sizes[a.src]:
-                system[r0 : r0 + n_rows, offsets[a.src] : offsets[a.src] + sizes[a.src]] += np.kron(
-                    x.mats[a.name], np.eye(y.dims[a.src])
-                )
-            if sizes[a.dst]:
-                system[r0 : r0 + n_rows, offsets[a.dst] : offsets[a.dst] + sizes[a.dst]] -= np.kron(
-                    np.eye(x.dims[a.dst]), y.mats[a.name].T
-                )
-        r0 += n_rows
-    basis_vectors = nullspace(system)
-    out = []
-    for vec in basis_vectors:
-        gammas = {
-            v: vec[offsets[v] : offsets[v] + sizes[v]].reshape(x.dims[v], y.dims[v])
-            for v in q.vertices
-        }
-        out.append(NatTrans(y, x, gammas))
-    return out
+        xd, ys = x.dims[a.dst], y.dims[a.src]
+        # row (i, k), column (j, l) of the blocks (A kron I) and -(I kron B^T):
+        # A[i, j] where k == l, and -B[l, k] where i == j (first block first)
+        for v, shape, diagonal, value in (
+                (a.src, (xd, ys, x.dims[a.src], ys), "...ikjk->...ijk", x.mats[a.name][..., None]),
+                (a.dst, (xd, ys, xd, y.dims[a.dst]), "...ikil->...ikl",
+                 -np.swapaxes(y.mats[a.name], -1, -2)[..., None, :, :])):
+            if xd * ys * sizes[v]:
+                block = system[..., r0:r0 + xd * ys, offsets[v]:offsets[v] + sizes[v]]
+                np.einsum(diagonal, block.reshape(lead + shape))[...] += value
+        r0 += xd * ys
+
+    def gammas(vec):
+        return {v: vec[offsets[v]:offsets[v] + sizes[v]].reshape(x.dims[v], y.dims[v])
+                for v in q.vertices}
+
+    if lead:
+        return [[gammas(vec) for vec in basis] for basis in nullspace(system)]
+    return [NatTrans(y, x, gammas(vec)) for vec in nullspace(system)]
 
 
 def random_rep(q: Quiver, dims: Mapping[str, int], seed: int) -> Rep:

@@ -18,10 +18,7 @@ from freequiver.calculus import (
     block_extend,
     chain_rule_check,
     derivative_matrix,
-    direction_add,
-    direction_norm,
     direction_residual,
-    direction_scale,
     direction_slots,
     directional_derivative,
     fd_errors,
@@ -30,14 +27,12 @@ from freequiver.calculus import (
     gamma_commutation_check,
     ift_certificate,
     leibniz_check,
-    matrix_unit_direction,
     nilpotent_coefficients,
     nilpotent_matrix,
     observed_order,
     pair_direction,
     random_direction,
     unflatten_direction,
-    zero_direction,
 )
 from freequiver.errors import BlockMismatchError, RegularityError
 from freequiver.exprs import (
@@ -58,6 +53,7 @@ from freequiver.exprs import (
 from freequiver.numerics import (
     frob_norm,
     frob_norms,
+    joint_frob_norm,
     kernel,
     op_norm,
     op_norms,
@@ -75,6 +71,29 @@ from freequiver.reps import (
     random_rep,
     rep_distance,
 )
+
+
+def zero_direction(x: Rep) -> DirectionField:
+    return DirectionField(x, {a: np.zeros_like(m) for a, m in x.mats.items()})
+
+
+def matrix_unit_direction(x: Rep, arc: str, i: int, j: int) -> DirectionField:
+    h = zero_direction(x)
+    h.h_mats[arc][i, j] = 1.0
+    return h
+
+
+def direction_add(h: DirectionField, k: DirectionField) -> DirectionField:
+    return DirectionField(h.base, {a: h.h_mats[a] + k.h_mats[a] for a in h.h_mats})
+
+
+def direction_scale(c, h: DirectionField) -> DirectionField:
+    return DirectionField(h.base, {a: c * m for a, m in h.h_mats.items()})
+
+
+def direction_norm(h: DirectionField) -> float:
+    """Stacked Frobenius norm over all components."""
+    return joint_frob_norm(h.h_mats.values())
 
 
 def sch_quiver():
@@ -654,6 +673,45 @@ class TestClosedFormDerivatives:
         for a, w in want.items():
             assert rel_residual(op_norm(derivative[a] - w), w) < 1e-8
             assert rel_residual(op_norm(applied[a] - w), w) < 1e-8
+
+
+def _block_inverse_closed_form(x, h):
+    """-M^-1 H M^-1 for M = [[x1, x12], [x21, x2]], split into its blocks."""
+    m = catalog.assemble_blocks(x)
+    big = np.block([[h.h_mats["x1"], h.h_mats["x12"]], [h.h_mats["x21"], h.h_mats["x2"]]])
+    m_inv = np.linalg.inv(m)
+    d, n = -m_inv @ big @ m_inv, x.dims["u"]
+    return {"x1": d[:n, :n], "x12": d[:n, n:], "x21": d[n:, :n], "x2": d[n:, n:]}
+
+
+def _smw_rhs_closed_form(x, h):
+    """-W dM W for W = (a + U c V)^-1 and dM its derivative along h."""
+    a, u, c, v = (x.mats[k] for k in "aUcV")
+    da, du, dc, dv = (h.h_mats[k] for k in "aUcV")
+    w = np.linalg.inv(a + u @ c @ v)
+    return {"x": -w @ (da + du @ c @ v + u @ dc @ v + u @ c @ dv) @ w}
+
+
+class TestDerivativeAccuracyAtLargePoints:
+    """Two 96/64 points drawn by the eval_large benchmark workload. An
+    upper-triangular evaluation that takes each inverse's corner
+    -A^-1 A' A^-1 from explicit inverse products errs there by 1.42e-8 and
+    1.33e-8; the doubled block points give 2.51e-9 and 1.86e-9."""
+
+    @pytest.mark.parametrize("make, quiver, closed_form, x_seed, h_seed", [
+        (catalog.block_inverse_map, catalog.sch_quiver, _block_inverse_closed_form,
+         3957163439838834925, 5539464419058511553),  # κ(M) = 5.4e2
+        (catalog.smw_rhs_map, catalog.smw_quiver, _smw_rhs_closed_form,
+         2159879376245637854, 677568012063660190),
+    ])
+    def test_within_1e8_of_the_closed_form(self, make, quiver, closed_form, x_seed, h_seed):
+        x = random_rep(quiver(), {"u": 96, "v": 64}, x_seed)
+        h = random_direction(x, h_seed)
+        got = directional_derivative(make(), x, h).h_mats
+        want = closed_form(x, h)
+        assert set(got) == set(want)
+        error = max(frob_norm(got[a] - w) / frob_norm(w) for a, w in want.items())
+        assert error < 1e-8
 
 
 # seeds of random polynomial maps and 12/8 points whose 400x400 Jacobians

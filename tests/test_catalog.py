@@ -23,7 +23,6 @@ from freequiver.catalog import (
     s3_presentation,
     s3_quiver,
     s3_standard_rep,
-    sandwich_rational_factors,
     sandwich_rational_map,
     sch_quiver,
     schur_derivative,
@@ -46,8 +45,34 @@ from freequiver.exprs import (
     sub,
 )
 from freequiver.numerics import op_norm, rel_residual
-from freequiver.quivers import classical_embed, validate_quiver
+from freequiver.quivers import Arc, Quiver, classical_embed, validate_quiver
 from freequiver.reps import Rep, check_nat_trans, check_relations, random_rep, rep_distance
+
+
+def sandwich_rational_factors() -> tuple[FreeMapDef, ...]:
+    """sandwich_rational_map as a chain of one-inversion-at-a-time stages.
+
+    Returns (ell, j, i, g) with g o i o j o ell == sandwich_rational_map:
+    each stage either adjoins a new generator or is a plain polynomial, so
+    rational maps arise as finite compositions of polynomial and inversion
+    maps.
+    """
+    x, y, z, w, v = (Atom(n) for n in ("x", "y", "z", "w", "v"))
+
+    def loops(*names):
+        return Quiver(("u",), tuple(Arc(n, "u", "u") for n in names))
+
+    q2, q3, q4, q5 = classical_embed(2), loops(*"xyz"), loops(*"xyzw"), loops(*"xyzwv")
+    ell = FreeMapDef(q2, q3, {"x": x, "y": y, "z": sub(y, x)})
+    j = FreeMapDef(q3, q4, {"x": x, "y": y, "z": z, "w": inv(z)})
+    i = FreeMapDef(q4, q5, {"x": x, "y": y, "z": z, "w": w, "v": inv(x)})
+    g = FreeMapDef(
+        q5,
+        classical_embed(3),
+        # third component multiplies through the inverted generator w, not z
+        {"x": mul(v, y, y), "y": scale(3, sub(mul(y, x), mul(x, y))), "z": mul(x, w, y)},
+    )
+    return ell, j, i, g
 
 
 def sch_point(seed, nu=3, nv=2):

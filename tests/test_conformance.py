@@ -2,12 +2,13 @@
 accounting, determinism, and the transpose negative control."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from freequiver import calculus, conformance
-from freequiver.catalog import exp_truncated, ppt_map, sch_quiver, schur_map
+from freequiver.catalog import block_inverse_map, exp_truncated, ppt_map, sch_quiver, schur_map
 from freequiver.conformance import (
     CHECK_NAMES,
     CheckStats,
@@ -18,8 +19,10 @@ from freequiver.conformance import (
 from freequiver.exprs import (
     Atom,
     FreeMapDef,
+    Id,
     identity_map,
     inv,
+    mul,
     random_polynomial_map,
     scale,
     sub,
@@ -249,18 +252,21 @@ class TestIntertwineBasis:
     """The intertwine check takes Hom(x, x ⊕ x) as End(x) ⊕ End(x)."""
 
     def _checked(self, monkeypatch, x):
-        """The transformations the intertwine cell checks at the point x,
-        under the identity map (which pushes them forward unchanged)."""
-        seen, check_nat_trans = [], conformance.check_nat_trans
+        """The transformations the intertwine check tests at the point x, run
+        as a stack of one under the identity map (which pushes them forward
+        unchanged), one by one."""
+        seen, nat_trans_residuals = [], conformance.nat_trans_residuals
 
-        def record(g, *args, **kwargs):
-            seen.append(g)
-            return check_nat_trans(g, *args, **kwargs)
+        def record(to_rep, from_rep, gammas):
+            stacked = len(next(iter(gammas.values())))
+            seen.extend(SimpleNamespace(gammas={v: m[i] for v, m in gammas.items()})
+                        for i in range(stacked))
+            return nat_trans_residuals(to_rep, from_rep, gammas)
 
-        monkeypatch.setattr(conformance, "check_nat_trans", record)
+        monkeypatch.setattr(conformance, "nat_trans_residuals", record)
         monkeypatch.setattr(conformance, "random_rep", lambda q, dims, seed: x)
-        residual = conformance._run_cell(identity_map(x.quiver), x.quiver, "intertwine",
-                                         dict(x.dims), 5)
+        (residual,) = conformance._run_stack(identity_map(x.quiver), x.quiver, "intertwine",
+                                             dict(x.dims), [5])
         return residual, seen
 
     def _points(self):
@@ -322,3 +328,105 @@ class TestBrokenBlocksSkip:
         assert report.stats["lemma_part1"].skipped == 4
         for name in ("direct_sum", "similarity", "intertwine"):
             assert report.stats[name].executed == report.stats[name].passes == 4
+
+
+def _stacks_of_one(monkeypatch):
+    """Make the harness run every stack of trials as stacks of one."""
+    run_stack = conformance._run_stack
+    monkeypatch.setattr(conformance, "_run_stack", lambda f, q, check, profile, seeds: [
+        r for seed in seeds for r in run_stack(f, q, check, profile, [seed])])
+
+
+def rank_limited_map():
+    """x1 -> (x12 x21)^-1 on the Schur quiver: singular wherever u > v."""
+    q = sch_quiver()
+    x2, x12, x21 = (Atom(a) for a in ("x2", "x12", "x21"))
+    return FreeMapDef(q, q, {"x1": inv(mul(x12, x21)), "x2": x2, "x12": x12, "x21": x21})
+
+
+def identity_entries_map():
+    """Entries that read no arc evaluate to one matrix for every point."""
+    q = sch_quiver()
+    return FreeMapDef(q, q, {"x1": Id("u"), "x2": scale(2, Id("v")),
+                             "x12": Atom("x12"), "x21": Atom("x21")})
+
+
+STACKED_MAPS = {
+    "identity_entries": identity_entries_map,
+    "schur": schur_map,
+    "ppt_D": lambda: ppt_map("pivot_D"),
+    "block_inverse": block_inverse_map,
+    "rank_limited": rank_limited_map,
+    "random": lambda: random_polynomial_map(sch_quiver(), sch_quiver(), 45, max_degree=3),
+}
+# trial counts over one to three profiles, with INTERTWINE_PROFILES' zero
+# dimensions; rank_limited skips every trial at u > v
+STACKED_PLANS = [(1, [(2, 3)]), (2, [(0, 2), (3, 0)]), (5, [(0, 0), (1, 1), (6, 4)]),
+                 (7, [(3, 2), (2, 3)]), (7, [(0, 2), (3, 0), (0, 0)])]
+
+
+class TestStackedTrials:
+    """The trials of one profile run as one stack, and report bit for bit
+    what they report run one by one."""
+
+    CHECKS = ("direct_sum", "similarity", "intertwine")
+
+    @pytest.mark.parametrize("trials, profiles", STACKED_PLANS)
+    @pytest.mark.parametrize("name", sorted(STACKED_MAPS))
+    def test_report_equals_stacks_of_one(self, monkeypatch, name, trials, profiles):
+        f = STACKED_MAPS[name]()
+        plan = TrialPlan(46 + trials, trials, [{"u": u, "v": v} for u, v in profiles],
+                         checks=self.CHECKS)
+        stacked = run_conformance(f, plan).as_dict()
+        _stacks_of_one(monkeypatch)
+        assert run_conformance(f, plan).as_dict() == stacked
+
+    @pytest.mark.parametrize("trials, profiles", [(1, [2]), (2, [0, 3]), (5, [0, 1, 3]),
+                                                  (7, [2, 3])])
+    def test_raw_callable_report_equals_stacks_of_one(self, monkeypatch, trials, profiles):
+        plan = TrialPlan(47, trials, [{"u": u} for u in profiles], checks=self.CHECKS)
+        q = classical_embed(2)
+        stacked = run_conformance(transpose_hook, plan, source_quiver=q).as_dict()
+        _stacks_of_one(monkeypatch)
+        assert run_conformance(transpose_hook, plan, source_quiver=q).as_dict() == stacked
+
+    def test_singular_trial_skips_alone(self, monkeypatch):
+        q = classical_embed(1)
+        f = FreeMapDef(q, q, {"x": inv(Atom("x"))})
+        plan = TrialPlan(48, 6, [{"u": 2}, {"u": 3}], checks=self.CHECKS)
+        # trial 3's point, at the second profile, is zero in every check
+        singular = {conformance._hash_seed(f"{trial_seed(48, 3, check)}:x")
+                    for check in self.CHECKS}
+        draw = conformance.random_rep
+
+        def random_rep(q, dims, seed):
+            x = draw(q, dims, seed)
+            if seed in singular:
+                return Rep(q, dict(x.dims), {a: 0 * m for a, m in x.mats.items()})
+            return x
+
+        monkeypatch.setattr(conformance, "random_rep", random_rep)
+        report = run_conformance(f, plan)
+        for name in self.CHECKS:
+            s = report.stats[name]
+            assert (s.executed, s.skipped, s.failures) == (5, 1, 0)
+        _stacks_of_one(monkeypatch)
+        assert run_conformance(f, plan).as_dict() == report.as_dict()
+
+    def test_svd_calls_of_a_plan(self, monkeypatch):
+        svd, calls = np.linalg.svd, []
+
+        def counted(*args, **kwargs):
+            calls.append(np.shape(args[0]))
+            return svd(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counted)
+        plan = TrialPlan(49, 10, [{"u": 2, "v": 3}, {"u": 6, "v": 4}], checks=self.CHECKS)
+        assert run_conformance(ppt_map("pivot_D"), plan).passed
+        # per profile: direct_sum and similarity take one stacked rel_diff
+        # per arc (4 arcs), and similarity's draws 20 one-matrix SVDs (each
+        # automorphism is checked twice per vertex); intertwine takes one
+        # stacked nullspace, one stacked 2-norm per vertex (2) and two per
+        # arc. Trial by trial, the plan took 350.
+        assert len(calls) == 2 * (4 + (20 + 4) + (1 + 2 + 2 * 4)) == 78
+        assert sum(len(shape) == 2 for shape in calls) == 2 * 20

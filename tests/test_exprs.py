@@ -49,7 +49,6 @@ from freequiver.exprs import (
     random_polynomial_map,
     render_expr,
     scale,
-    scale_map,
     sub,
     to_monomials,
     typecheck,
@@ -59,7 +58,6 @@ from freequiver.quivers import Arc, Quiver, classical_embed, path_of
 from freequiver.reps import (
     NatTrans,
     Rep,
-    adjoint_rep,
     check_nat_trans,
     conjugate,
     direct_sum,
@@ -68,6 +66,22 @@ from freequiver.reps import (
     random_rep,
     rep_residual,
 )
+
+
+def scale_map(k, f: FreeMapDef) -> FreeMapDef:
+    return FreeMapDef(
+        f.source_quiver,
+        f.target_quiver,
+        {r: normalize(Scale(k, e)) for r, e in f.entries.items()},
+        dict(f.vertex_map),
+    )
+
+
+def adjoint_rep(x: Rep) -> Rep:
+    """Arc a -> X(a)* over the arc-reversed quiver (same quiver when every
+    arc is a loop, the only case where pairing with the original typechecks)."""
+    rev = Quiver(x.quiver.vertices, tuple((a.name, a.dst, a.src) for a in x.quiver.arcs))
+    return Rep(rev, dict(x.dims), {a: np.conj(m).T for a, m in x.mats.items()})
 
 
 def sch_quiver():

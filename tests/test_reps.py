@@ -26,12 +26,17 @@ from freequiver.reps import (
     conjugate,
     direct_sum,
     eval_path,
-    identity_auto,
     intertwiner_space,
+    nat_trans_residuals,
     random_auto,
     random_rep,
     rep_residual,
+    stack_reps,
 )
+
+
+def identity_auto(x: Rep) -> NatAuto:
+    return NatAuto(x, {v: np.eye(x.dims[v], dtype=np.complex128) for v in x.quiver.vertices})
 
 
 def sch_quiver():
@@ -373,6 +378,75 @@ class TestRepResidual:
         y = Rep(q, {"u": 2}, {"x": np.eye(2), "y": np.eye(2)})
         assert np.isnan(rep_residual(x, y))
         assert np.isnan(rep_residual(y, x))
+
+
+def kron_system(x, y):
+    """intertwiner_space's system for one pair of points, built with np.kron:
+    the reference for its writes on the blocks' diagonals."""
+    q = x.quiver
+    sizes = {v: x.dims[v] * y.dims[v] for v in q.vertices}
+    offsets = dict(zip(q.vertices, itertools.accumulate(sizes.values(), initial=0)))
+    system = np.zeros((sum(x.dims[a.dst] * y.dims[a.src] for a in q.arcs), sum(sizes.values())),
+                      dtype=np.complex128)
+    r0 = 0
+    for a in q.arcs:
+        rows = slice(r0, r0 + x.dims[a.dst] * y.dims[a.src])
+        if rows.stop > r0 and sizes[a.src]:
+            cols = slice(offsets[a.src], offsets[a.src] + sizes[a.src])
+            system[rows, cols] += np.kron(x.mats[a.name], np.eye(y.dims[a.src]))
+        if rows.stop > r0 and sizes[a.dst]:
+            cols = slice(offsets[a.dst], offsets[a.dst] + sizes[a.dst])
+            system[rows, cols] -= np.kron(np.eye(x.dims[a.dst]), y.mats[a.name].T)
+        r0 = rows.stop
+    return system
+
+
+def same_bits(a, b):
+    a, b = np.ascontiguousarray(a), np.ascontiguousarray(b)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+STACK_POINTS = [(sch_quiver(), p) for p in [(0, 2), (3, 0), (0, 0), (1, 1), (2, 3), (6, 4)]] + [
+    (classical_embed(2), (3,)), (Quiver(("u", "v"), ()), (2, 1))]
+
+
+class TestRepStacks:
+    """A RepStack's points each get the bits of the single-point forms."""
+
+    @staticmethod
+    def _points(q, profile, seed):
+        return [random_rep(q, dict(zip(q.vertices, profile)), seed + b) for b in range(3)]
+
+    @pytest.mark.parametrize("q, profile", STACK_POINTS)
+    def test_intertwiner_space(self, q, profile):
+        xs, ys = self._points(q, profile, 60), self._points(q, profile, 70)
+        for left, right in ((xs, ys), (xs, xs)):
+            stacked = intertwiner_space(stack_reps(left), stack_reps(right))
+            for b, basis in enumerate(stacked):
+                want = nullspace(kron_system(left[b], right[b]))
+                single = intertwiner_space(left[b], right[b])
+                assert len(basis) == len(single) == len(want)
+                for g, h, w in zip(basis, single, want):
+                    assert same_bits(np.concatenate([g[v].ravel() for v in q.vertices]), w)
+                    assert same_bits(np.concatenate([h.gammas[v].ravel() for v in q.vertices]), w)
+
+    @pytest.mark.parametrize("q, profile", STACK_POINTS)
+    def test_direct_sum_conjugate_and_residuals(self, q, profile):
+        xs, ys = self._points(q, profile, 80), self._points(q, profile, 90)
+        autos = [random_auto(x, 100 + b) for b, x in enumerate(xs)]
+        s = {v: np.stack([auto.s_mats[v] for auto in autos]) for v in q.vertices}
+        x = stack_reps(xs)
+        total, conj = direct_sum(x, stack_reps(ys)), conjugate(x, s)
+        singles = [conjugate(p, auto) for p, auto in zip(xs, autos)]
+        # S is a natural transformation from S^-1 X S to X
+        per_arc = nat_trans_residuals(x, conj, s)
+        for b, (p, c, auto) in enumerate(zip(xs, singles, autos)):
+            details = check_nat_trans(NatTrans(c, p, auto.s_mats)).details
+            for a in q.arc_names():
+                assert same_bits(total.mats[a][b], direct_sum(p, ys[b]).mats[a])
+                assert same_bits(conj.mats[a][b], c.mats[a])
+                assert per_arc[a][b] == details[a]
+        assert rep_residual(conj, x) == [rep_residual(c, p) for c, p in zip(singles, xs)]
 
 
 class TestRandomRep:

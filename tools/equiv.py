@@ -52,7 +52,11 @@ The corpus:
   schur, ppt_D, block_inverse and a random polynomial map at a 3/2 point
   scaled by 1, 1e-3 and 1e120;
 * conformance: run_conformance(...).as_dict() with all four checks over the
-  calculus maps at small profiles;
+  calculus maps and a map whose inverse fails wherever u > v, at small
+  profiles with three trials each, so that every profile runs as one stack
+  of three (the one-sided map and rank_limited skip a whole profile through
+  the fallback to stacks of one); this part takes about half a second, so
+  --quick takes about as long as with one trial per stack;
 * block tolerance: with calculus.BLOCK_TOL patched to -1 and to 1e-15, the
   calculus outputs at one random point per profile and the conformance
   records, which then carry BlockMismatchError messages.
@@ -469,6 +473,17 @@ def derive_records():
                     err.getvalue()]
 
 
+def rank_limited_map():
+    """x1 -> (x12 x21)^-1 on the Schur quiver: singular wherever u > v."""
+    import freequiver as fq
+    from freequiver import catalog
+    from freequiver.exprs import Atom, Inv, Mul
+
+    x2, x12, x21 = (Atom(a) for a in ("x2", "x12", "x21"))
+    return fq.FreeMapDef(catalog.sch_quiver(), catalog.sch_quiver(),
+                         {"x1": Inv(Mul((x12, x21))), "x2": x2, "x12": x12, "x21": x21})
+
+
 def conformance_records(maps):
     import freequiver as fq
 
@@ -476,7 +491,8 @@ def conformance_records(maps):
     out = []
     for label, f in maps:
         q = f.source_quiver
-        plan = fq.TrialPlan(7, 4, [dict(zip(q.vertices, p)) for p in profiles[len(q.vertices)]])
+        points = [dict(zip(q.vertices, p)) for p in profiles[len(q.vertices)]]
+        plan = fq.TrialPlan(7, 3 * len(points), points)
         out.append((f"run_conformance/{label}",
                     outcome(lambda: fq.run_conformance(f, plan).as_dict())))
     return out
@@ -491,7 +507,8 @@ def run_corpus(tree: Path, quick: bool) -> None:
     seeds, rounds, demo_seeds = ((1,), (0,), (1,)) if quick else ((1, 2), (0, 1), (1, 7))
     for records in (regularity_records(), calculus_records(), intertwiner_records(),
                     block_records(), round_trip_records(), derive_records(),
-                    conformance_records(calculus_maps()), block_tol_records(),
+                    conformance_records(calculus_maps() + [("rank_limited", rank_limited_map())]),
+                    block_tol_records(),
                     demo_records(demo_seeds),
                     bench_records(tree, seeds, rounds)):
         for key, value in records:
