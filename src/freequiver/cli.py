@@ -9,7 +9,8 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 file/parse/usage
 error, 3 evaluation outside the regularity domain (including a block-trick
 evaluation whose diagonal blocks fail to reproduce f(X), which means the
 point is effectively irregular or the map is not free, and a numerical
-failure such as an SVD that does not converge on an overflowing point).
+failure such as an SVD that does not converge on an overflowing point or an
+image that is not finite).
 """
 
 from __future__ import annotations
@@ -211,6 +212,9 @@ def cmd_eval(job: argparse.Namespace, rep: Report) -> int:
     f = _load_map(job)
     x = _load_point(job, f)
     image = eval_map(f, x)
+    for a in f.target_quiver.arc_names():
+        if not np.isfinite(image.mats[a]).all():
+            raise FloatingPointError(f"image not finite at arc {a!r}")
     obj = rep_to_obj(image)
     rep.records.append({"v": RECORD_VERSION, **obj})
     for a in f.target_quiver.arcs:
@@ -553,7 +557,8 @@ def main(argv=None) -> int:
             if "poly" in args:
                 args.poly = parse_poly(args.poly) if args.poly else []
             code, text = run(args)
-    except np.linalg.LinAlgError as e:  # a ValueError, but not a usage error
+    # numerical failures; LinAlgError is a ValueError, but not a usage error
+    except (np.linalg.LinAlgError, FloatingPointError) as e:
         print(f"numerical failure: {e}", file=sys.stderr)
         return 3
     except (ParseError, TypecheckError, ValueError) as e:

@@ -83,17 +83,16 @@ class Mul:
         object.__setattr__(self, "factors", factors)
 
 
-INV_MODES = ("two_sided", "left", "right")
-
-
 @dataclass(frozen=True)
 class Inv:
-    of: "Expr"
-    mode: str = "two_sided"
+    """The two-sided inverse of its operand, the only kind: a pseudo-inverse
+    does not commute with similarities, so it would not give a free map.
+    mode is a constant, matched as the second positional field and written
+    to definition files."""
 
-    def __post_init__(self):
-        if self.mode not in INV_MODES:
-            raise ValueError(f"unknown inverse mode {self.mode!r}")
+    __match_args__ = ("of", "mode")
+    mode = "two_sided"
+    of: "Expr"
 
 
 Expr = Union[Atom, Id, Add, Scale, Mul, Inv]
@@ -115,8 +114,8 @@ def scale(k, e: Expr) -> Scale:
     return Scale(k, e)
 
 
-def inv(e: Expr, mode: str = "two_sided") -> Inv:
-    return Inv(e, mode)
+def inv(e: Expr) -> Inv:
+    return Inv(e)
 
 
 def sub(e1: Expr, e2: Expr) -> Expr:
@@ -165,12 +164,11 @@ def render_expr(e: Expr) -> str:
                     p = f"({p})"
                 parts.append(p)
             return " ".join(parts)
-        case Inv(of, mode):
+        case Inv(of):
             body = render_expr(of)
             if not isinstance(of, (Atom, Id)):
                 body = f"({body})"
-            suffix = {"two_sided": "^-1", "left": "^-1_L", "right": "^-1_R"}[mode]
-            return body + suffix
+            return body + "^-1"
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -180,8 +178,7 @@ def render_expr(e: Expr) -> str:
 def typecheck(e: Expr, q: Quiver) -> tuple[str, str]:
     """Endpoints (src, dst) of e over q, or TypecheckError at the first
     violation (the message names the offending subexpression). Shapes are
-    not checked: evaluation rejects a two-sided inverse of a rectangular
-    value."""
+    not checked: evaluation rejects an inverse of a rectangular value."""
     match e:
         case Atom(arc):
             if not q.has_arc(arc):
@@ -215,7 +212,7 @@ def typecheck(e: Expr, q: Quiver) -> tuple[str, str]:
                         node=e,
                     )
             return (ends[-1][0], ends[0][1])
-        case Inv(of, _):
+        case Inv(of):
             return typecheck(of, q)[::-1]
     raise TypeError(f"not an expression: {e!r}")
 
@@ -240,8 +237,8 @@ def normalize(e: Expr) -> Expr:
             if kk == 1:
                 return core
             return Scale(kk, core)
-        case Inv(of, mode):
-            return Inv(normalize(of), mode)
+        case Inv(of):
+            return Inv(normalize(of))
         case Mul(factors):
             k_total = complex(1)
             flat: list[Expr] = []
@@ -291,7 +288,7 @@ def _children(e: Expr) -> tuple:
     match e:
         case Add(kids) | Mul(kids):
             return kids
-        case Scale(_, of) | Inv(of, _):
+        case Scale(_, of) | Inv(of):
             return (of,)
     return ()
 
@@ -338,7 +335,6 @@ class InvDiagnostic:
 
     entry: str | None
     node: str
-    mode: str
     sigma_min: float
     sigma_max: float
     ok: bool
@@ -354,8 +350,8 @@ def eval_expr(e: Expr, x: Rep) -> np.ndarray:
     from its memo.
 
     An inverse node is regular when numerics.inverse_rule passes its operand
-    at every point of a stack. A non-empty square two-sided operand whose
-    computed inverse certifies that rule through numerics.certified_inverse
+    at every point of a stack. A non-empty square operand whose computed
+    inverse certifies that rule through numerics.certified_inverse
     is not decomposed; any other operand is decided from its singular values.
     Irregular nodes raise RegularityError (naming the node)."""
     return _eval(e, x, None, {})
@@ -377,29 +373,29 @@ def _eval(e: Expr, x: Rep, entry, memo: dict) -> np.ndarray:
         case Mul(factors):
             vals = [_eval(f, x, entry, memo) for f in factors]
             return reduce(lambda a, b: a @ b, vals)
-        case Inv(of, mode):
+        case Inv(of):
             value = memo.get(e)
             if value is None:
                 m = _eval(of, x, entry, memo)
-                if mode == "two_sided" and m.shape[-2] == m.shape[-1] > 0:
+                if m.shape[-2] == m.shape[-1] > 0:
                     value = certified_inverse(m)
                 if value is None:
-                    ok, _, _, reason = inverse_rule(m, mode)
+                    ok, _, _, reason = inverse_rule(m)
                     if not np.all(ok):
                         node = render_expr(e)
                         raise RegularityError(
                             f"{reason} at {node}" + (f" (entry {entry!r})" if entry else ""),
                             node=node, entry=entry)
-                    value = _inverse(m, mode, ok)
+                    value = _inverse(m, ok)
                 memo[e] = value
             return value
     raise TypeError(f"not an expression: {e!r}")
 
 
-def _inverse(m: np.ndarray, mode: str, ok) -> np.ndarray:
+def _inverse(m: np.ndarray, ok) -> np.ndarray:
     """An inverse node's value at operand m, given inverse_rule's ok: a passing
-    two-sided node's inverse, else the pseudo-inverse (a failing one's stand-in)."""
-    if mode != "two_sided" or not np.all(ok):
+    node's inverse, else the pseudo-inverse (a failing one's stand-in)."""
+    if not np.all(ok):
         return pinv(m)
     return m.copy() if m.shape[-1] == 0 else np.linalg.inv(m)
 
@@ -520,10 +516,10 @@ def is_regular(f: FreeMapDef, x: Rep) -> tuple[bool, list[InvDiagnostic]]:
         for n in _inverse_nodes(e):
             if n not in decided:
                 m = _eval(n.of, x, r, memo)
-                ok, smin, smax, _ = inverse_rule(m, n.mode)
+                ok, smin, smax, _ = inverse_rule(m)
                 decided[n] = (float(smin), float(smax), bool(ok))
-                memo[n] = _inverse(m, n.mode, ok)
-            diags.append(InvDiagnostic(r, render_expr(n), n.mode, *decided[n]))
+                memo[n] = _inverse(m, ok)
+            diags.append(InvDiagnostic(r, render_expr(n), *decided[n]))
     return all(d.ok for d in diags), diags
 
 
@@ -557,8 +553,8 @@ def map_leaves(e: Expr, leaf: Callable[[Expr], Expr]) -> Expr:
             return Scale(k, map_leaves(of, leaf))
         case Mul(factors):
             return Mul(tuple(map_leaves(f, leaf) for f in factors))
-        case Inv(of, mode):
-            return Inv(map_leaves(of, leaf), mode)
+        case Inv(of):
+            return Inv(map_leaves(of, leaf))
     raise TypeError(f"not an expression: {e!r}")
 
 
@@ -609,7 +605,7 @@ def _expand_terms(e: Expr, q: Quiver) -> list[tuple[complex, Path]]:
 
             rec(len(lists) - 1, complex(1), None)
             return combos
-        case Inv(_, _):
+        case Inv(_):
             raise ValueError(
                 f"not a polynomial: inverse node {render_expr(e)} present"
             )

@@ -12,9 +12,9 @@ one place:
 * residuals fold with worst(): the largest value, 0.0 over none, and NaN
   when any value is NaN, so a residual that could not be computed fails
   every `<= tol` test instead of reading as a pass;
-* an operand has an inverse of a mode iff its shape allows it (square for
-  two_sided, rows >= cols for left, cols >= rows for right) and its singular
-  values are empty or sigma_min > 1e-10 * sigma_max (inverse_rule). A
+* an operand has an inverse (two-sided, the only kind) iff it is square and
+  its singular values are empty or sigma_min > 1e-10 * sigma_max
+  (inverse_rule). A
   residual-certified bound on a square operand's computed inverse may pass a
   clearly regular one; any operand that could fail is decided by its singular
   values;
@@ -214,30 +214,26 @@ def pinv(m) -> np.ndarray:
     return np.full(m.shape[:-2] + (m.shape[-1], m.shape[-2]), np.nan, dtype=np.complex128)
 
 
-def inverse_rule(m, mode: str = "two_sided"):
-    """(ok, sigma_min, sigma_max, reason) for an inverse of the mode of m, or
-    of each matrix of a stack (..., rows, cols): ok where the shape allows the
-    mode and the singular values are empty (both sigmas are then 0.0) or the
-    smallest exceeds INVERTIBILITY_RTOL times the largest. A stack holding a
-    non-finite entry fails with NaN sigmas, without an SVD."""
-    rows, cols = m.shape[-2:]
-    shape_ok, reason = {
-        "two_sided": (rows == cols, "operand numerically singular" if rows == cols
-                      else "two-sided inverse of a rectangular value"),
-        "left": (rows >= cols, "no left inverse: operand lacks full column rank"),
-        "right": (cols >= rows, "no right inverse: operand lacks full row rank"),
-    }[mode]
+def inverse_rule(m):
+    """(ok, sigma_min, sigma_max, reason) for the inverse of m, or of each
+    matrix of a stack (..., rows, cols): ok where m is square and its singular
+    values are empty (both sigmas are then 0.0) or the smallest exceeds
+    INVERTIBILITY_RTOL times the largest. A stack holding a non-finite entry
+    fails with NaN sigmas, without an SVD."""
+    square = m.shape[-2] == m.shape[-1]
+    reason = ("operand numerically singular" if square
+              else "two-sided inverse of a rectangular value")
     if not np.isfinite(m).all():
-        return False, math.nan, math.nan, "operand not finite" if shape_ok else reason
+        return False, math.nan, math.nan, "operand not finite" if square else reason
     s = singular_values(m)
     if not s.size:
-        return shape_ok, 0.0, 0.0, reason
+        return square, 0.0, 0.0, reason
     smin, smax = s[..., -1], s[..., 0]
-    return shape_ok & (smin > INVERTIBILITY_RTOL * smax), smin, smax, reason
+    return square & (smin > INVERTIBILITY_RTOL * smax), smin, smax, reason
 
 
 def is_invertible(m) -> bool:
-    """inverse_rule's two-sided case for one matrix. Zero-size square
+    """inverse_rule for one matrix. Zero-size square
     matrices count as invertible (empty product convention)."""
     return bool(inverse_rule(np.asarray(m))[0])
 

@@ -327,18 +327,19 @@ def random_rep(q: Quiver, dims: Mapping[str, int], seed: int) -> Rep:
 
 
 def random_auto(x: Rep, seed: int) -> NatAuto:
-    """Seeded random natural automorphism of x: Ginibre per vertex, redrawn
-    (deterministically) in the rare singular case."""
+    """Seeded random natural automorphism of x: Ginibre per vertex, all
+    redrawn (deterministically) in the rare singular case. NatAuto decides
+    each draw."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    mats = {}
-    for v in x.quiver.vertices:
-        n = x.dims[v]
-        while True:
-            s = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            if is_invertible(s):
-                break
-        mats[v] = s
-    return NatAuto(x, mats)
+    while True:
+        mats = {}
+        for v in x.quiver.vertices:
+            n = x.dims[v]
+            mats[v] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        try:
+            return NatAuto(x, mats)
+        except RegularityError:
+            pass
 
 
 def check_relations(x: Rep, pres: RelationPresentation, tol: float = DEFAULT_TOL) -> ResidualReport:

@@ -18,7 +18,6 @@ import numpy as np
 
 from .errors import ParseError
 from .exprs import (
-    INV_MODES,
     Add,
     Atom,
     Expr,
@@ -198,10 +197,10 @@ def obj_to_expr(obj: Any, where: str = "expr") -> Expr:
             obj_to_expr(f, f"{where}.factors[{i}]") for i, f in enumerate(factors)
         )
     if op == "inv":
-        mode = obj.get("mode", "two_sided")
-        if mode not in INV_MODES:
-            raise ParseError(f"{where}.mode: expected one of {INV_MODES}, got {mode!r}")
-        return Inv(obj_to_expr(_require(obj, "of", where), f"{where}.of"), mode)
+        mode = obj.get("mode", Inv.mode)
+        if mode != Inv.mode:
+            raise ParseError(f"{where}.mode: expected {Inv.mode!r}, got {mode!r}")
+        return Inv(obj_to_expr(_require(obj, "of", where), f"{where}.of"))
     raise ParseError(f"{where}: unknown op {op!r}")
 
 

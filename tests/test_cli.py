@@ -227,6 +227,20 @@ class TestSerializeErrors:
         with pytest.raises(ParseError, match="cannot read"):
             parse_definition_file(tmp_path / "absent.map")
 
+    @pytest.mark.parametrize("mode", ["left", "right", None])
+    def test_inverse_of_another_mode_is_a_parse_error(self, mode, schur_file, tmp_path, capsys):
+        text = Path(schur_file).read_text()
+        assert text.count('"mode": "two_sided"') == 1
+        path = tmp_path / "other_mode.map"
+        path.write_text(text.replace('"two_sided"', json.dumps(mode)), encoding="utf-8")
+        with pytest.raises(ParseError, match=r"\.mode: expected 'two_sided', got"):
+            loads(path.read_text())
+        capsys.readouterr()
+        assert main(["eval", "--map", str(path), "--dims", "u=2,v=2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
 
 class TestArgHelpers:
     def test_parse_dims(self):
@@ -424,6 +438,22 @@ class TestExitCodes:
         assert err.startswith("block mismatch:") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    def test_non_finite_image_exits_3(self, tmp_path, capsys):
+        # x·x·x overflows at 1e120·X: eval names the first arc whose image is
+        # not finite instead of printing a record that loads rejects
+        q = sch_quiver()
+        f, p = tmp_path / "cube.map", tmp_path / "huge.rep"
+        dump(FreeMapDef(q, q, {"x1": Atom("x1"), "x2": mul(Atom("x2"), Atom("x2"), Atom("x2")),
+                               "x12": mul(Atom("x12"), Atom("x2"), Atom("x2")),
+                               "x21": Atom("x21")}), f)
+        x = random_rep(q, {"u": 2, "v": 3}, 9)
+        dump(Rep(q, x.dims, {a: 1e120 * m for a, m in x.mats.items()}), p)
+        for fmt in ("human", "machine"):
+            assert main(["eval", "--map", str(f), "--rep", str(p), "--format", fmt]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == "numerical failure: image not finite at arc 'x2'\n"
+
     def test_numerical_failure_exits_3(self, tmp_path, capsys):
         # x·x overflows at 1e200·I, and the SVD of the non-finite image fails
         q = classical_embed(1)
@@ -480,20 +510,19 @@ class TestExitCodes:
         assert done.stderr.startswith("regularity error: operand not finite at")
         assert done.stderr.count("\n") == 1
 
-    def test_broken_block_structure_keeps_the_report(self, one_sided_map, tmp_path, capsys):
+    def test_broken_block_structure_keeps_the_report(self, schur_file, capsys, monkeypatch):
         # lemma_part1's certificate raises BlockMismatchError at every X ⊕ Y:
-        # those cells are skipped, and similarity fails
-        f = tmp_path / "one_sided.map"
-        dump(one_sided_map, f)
-        code = main(["check-free", "--map", str(f), "--dims", "u=3,v=2", "--seed", "1",
+        # those cells are skipped, and the other checks still run
+        monkeypatch.setattr(calculus, "BLOCK_TOL", -1.0)
+        code = main(["check-free", "--map", schur_file, "--dims", "u=3,v=2", "--seed", "1",
                      "--trials", "4"])
-        assert code == 1
+        assert code == 0
         captured = capsys.readouterr()
         assert captured.err == ""
         lines = captured.out.splitlines()
-        assert any(line.startswith("FAIL similarity  executed=4 skipped=0") for line in lines)
+        assert any(line.startswith("ok   similarity  executed=4 skipped=0") for line in lines)
         assert any(line.startswith("ok   lemma_part1  executed=0 skipped=4") for line in lines)
-        assert lines[-1] == "failed"
+        assert lines[-1] == "passed"
 
     def test_unwritable_out_exits_2(self, tmp_path, capsys):
         out = tmp_path / "missing" / "x.jsonl"
@@ -715,3 +744,10 @@ class TestFuzzedDefinitions:
         for command in ("eval", "derive", "certify"):
             assert main([command, "--map", str(map_path), "--rep", str(rep_path)]) in (0, 1, 3)
             assert "Traceback" not in capsys.readouterr().err
+        # an image that eval prints must parse back
+        code = main(["eval", "--map", str(map_path), "--rep", str(rep_path), "--format", "machine"])
+        captured = capsys.readouterr()
+        if code == 0:
+            assert isinstance(loads(captured.out), Rep)
+        else:
+            assert code == 3 and captured.out == "" and captured.err.count("\n") == 1

@@ -174,8 +174,6 @@ class TestRender:
         e = mul(add(Atom("x"), Atom("y")), Atom("x"))
         assert render_expr(e) == "(x + y) x"
         assert render_expr(inv(add(Atom("x"), Atom("y")))) == "(x + y)^-1"
-        assert render_expr(inv(Atom("x"), "left")) == "x^-1_L"
-        assert render_expr(inv(Atom("x"), "right")) == "x^-1_R"
 
 
 class TestTypecheck:
@@ -299,33 +297,13 @@ class TestEval:
             eval_expr(schur_expr(), x0)
         assert "x2^-1" in str(err.value)
 
-    def test_one_sided_inverses(self):
-        q = Quiver(("u", "v"), (Arc("t", "u", "v"),))  # t: u -> v
-        rng = np.random.Generator(np.random.PCG64(2))
-        tall = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
-        x = Rep(q, {"u": 2, "v": 5}, {"t": tall})
-        li = eval_expr(inv(Atom("t"), "left"), x)
-        assert np.allclose(li @ tall, np.eye(2), atol=1e-10)
-        with pytest.raises(RegularityError, match="full row rank"):
-            eval_expr(inv(Atom("t"), "right"), x)
-        wide = Rep(q, {"u": 5, "v": 2}, {"t": tall.T})
-        ri = eval_expr(inv(Atom("t"), "right"), wide)
-        assert np.allclose(tall.T @ ri, np.eye(2), atol=1e-10)
-
-    def test_left_inverse_requires_full_column_rank(self):
-        q = Quiver(("u", "v"), (Arc("t", "u", "v"),))
-        deficient = np.ones((5, 2), dtype=np.complex128)
-        x = Rep(q, {"u": 2, "v": 5}, {"t": deficient})
-        with pytest.raises(RegularityError, match="full column rank"):
-            eval_expr(inv(Atom("t"), "left"), x)
-
 
 class TestRegularity:
     def test_schur_regular_iff_d_invertible(self):
         f = schur_map()
         x = random_sch(21)
         ok, diags = is_regular(f, x)
-        assert ok and len(diags) == 1 and diags[0].mode == "two_sided"
+        assert ok and len(diags) == 1
 
         mats = dict(x.mats)
         mats["x2"] = np.zeros_like(mats["x2"])
@@ -346,18 +324,17 @@ class TestRegularity:
         assert not ok
         assert [d.ok for d in diags] == [False, True]
 
-    # modes whose inverse exists at each operand shape (random operands have
+    # whether the inverse exists at each operand shape (random operands have
     # full rank; the singular one is rank 1)
-    @pytest.mark.parametrize("mode", ["two_sided", "left", "right"])
-    @pytest.mark.parametrize("shape, regular_modes", [
-        ((0, 0), {"two_sided", "left", "right"}),
-        ((5, 0), {"left"}),
-        ((0, 5), {"right"}),
-        ((5, 2), {"left"}),
-        ((2, 5), {"right"}),
-        ("singular", set()),
+    @pytest.mark.parametrize("shape, regular", [
+        ((0, 0), True),
+        ((5, 0), False),
+        ((0, 5), False),
+        ((5, 2), False),
+        ((2, 5), False),
+        ("singular", False),
     ])
-    def test_inverse_node_rule_over_shapes(self, mode, shape, regular_modes):
+    def test_inverse_node_rule_over_shapes(self, shape, regular):
         q = Quiver(("u", "v"), (Arc("t", "u", "v"),))  # t: u -> v
         if shape == "singular":
             m = np.ones((3, 3), dtype=np.complex128)
@@ -366,14 +343,12 @@ class TestRegularity:
             m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         rows, cols = m.shape
         x = Rep(q, {"u": cols, "v": rows}, {"t": m})
-        node = inv(Atom("t"), mode)
+        node = inv(Atom("t"))
         f = FreeMapDef(q, Quiver(("u", "v"), (Arc("s", "v", "u"),)), {"s": node})
         ok, diags = is_regular(f, x)
         s = np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(0)
-        shape_ok = {"two_sided": rows == cols, "left": rows >= cols,
-                    "right": cols >= rows}[mode]
-        assert ok == diags[0].ok == (mode in regular_modes)
-        assert ok == (shape_ok and (s.size == 0 or s[-1] > 1e-10 * s[0]))
+        assert ok == diags[0].ok == regular
+        assert ok == (rows == cols and (s.size == 0 or s[-1] > 1e-10 * s[0]))
         if ok:
             assert eval_expr(node, x).shape == (cols, rows)
         else:
@@ -546,35 +521,39 @@ class TestInverseNodeSharing:
         # 13 occurrences of x1^-1 and (x2 - x21 x1^-1 x12)^-1
         assert ok and len(diags) == 13 and calls == {"svd": 2}
 
-    def test_repeated_one_sided_nodes_over_a_failing_inner_node(self):
+    def test_repeated_outer_nodes_over_a_failing_inner_node(self, monkeypatch):
         q = Quiver(("u", "v"), (Arc("t", "u", "v"), Arc("r", "v", "u"), Arc("s", "v", "v")))
         target = Quiver(("u", "v"), (
             Arc("a", "v", "u"), Arc("b", "u", "v"), Arc("c", "v", "u"), Arc("d", "v", "v"),
         ))
         inner = inv(Atom("s"))  # singular at the point below
-        left = inv(add(Atom("t"), mul(inner, Atom("t"))), "left")
-        right = inv(add(Atom("r"), mul(Atom("r"), inner)), "right")
+        outer_t = inv(add(Atom("t"), mul(inner, Atom("t"))))
+        outer_r = inv(add(Atom("r"), mul(Atom("r"), inner)))
         f = FreeMapDef(q, target, {
-            "a": left, "b": right, "c": mul(left, inner), "d": add(inner, mul(Atom("t"), left)),
+            "a": outer_t, "b": outer_r, "c": mul(outer_t, inner),
+            "d": add(inner, mul(Atom("t"), outer_t)),
         })
-        x = random_rep(q, {"u": 2, "v": 5}, 48)
+        x = random_rep(q, {"u": 3, "v": 3}, 48)
         mats = dict(x.mats)
-        mats["s"] = np.zeros((5, 5), dtype=np.complex128)
+        mats["s"] = np.zeros((3, 3), dtype=np.complex128)
         x = Rep(q, x.dims, mats)
+        calls = []
+        svd = numerics.singular_values
+        monkeypatch.setattr(numerics, "singular_values", lambda m: calls.append(m) or svd(m))
         ok, diags = is_regular(f, x)
         want = [
-            (r, render_expr(n), n.mode, n != inner)
+            (r, render_expr(n), n != inner)
             for r, e in f.entries.items() for n in inverse_occurrences(e)
         ]
-        assert not ok and len(want) == 10
-        assert [(d.entry, d.node, d.mode, d.ok) for d in diags] == want
+        assert not ok and len(want) == 10 and len(calls) == 3
+        assert [(d.entry, d.node, d.ok) for d in diags] == want
         by_node = {}
         for d in diags:
             by_node.setdefault(d.node, set()).add((d.sigma_min, d.sigma_max, d.ok))
         assert len(by_node) == 3 and all(len(v) == 1 for v in by_node.values())
         # the pseudo-inverse of the zero operand is zero, so the outer operands
         # are t and r themselves
-        for node, arc in ((left, "t"), (right, "r")):
+        for node, arc in ((outer_t, "t"), (outer_r, "r")):
             s = np.linalg.svd(x.mats[arc], compute_uv=False)
             (got,) = by_node[render_expr(node)]
             assert np.allclose(got[:2], (s[-1], s[0]), rtol=1e-12, atol=0)
@@ -692,13 +671,9 @@ class TestCertifiedInverse:
 
     def test_unscreened_evaluation_is_bitwise_equal(self, monkeypatch):
         sch = sch_quiver()
-        one_sided = FreeMapDef(sch, sch, {
-            "x1": inv(Atom("x1"), "left"), "x2": inv(Atom("x2"), "right"),
-            "x12": Atom("x12"), "x21": Atom("x21"),
-        })
         maps = [
             catalog_schur_map(), ppt_map("pivot_D"), ppt_map("pivot_A"),
-            block_inverse_map(), rational_triple_map(), one_sided,
+            block_inverse_map(), rational_triple_map(),
             random_polynomial_map(sch, sch, 9, max_degree=3),
         ]
         cases = []

@@ -313,7 +313,6 @@ class TestNonFiniteOperands:
         ok, smin, _, reason = inverse_rule(m)
         assert ok is False and math.isnan(smin)
         assert reason == "two-sided inverse of a rectangular value"
-        assert inverse_rule(m, "left")[3] == "operand not finite"
 
     def test_pinv_is_nan(self, no_svd):
         m = np.ones((2, 3, 4), dtype=np.complex128)

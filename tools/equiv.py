@@ -24,9 +24,9 @@ The corpus:
 * `demo NAME --format machine` for every demo at seeds 1 and 7;
 * regularity: is_regular's records (sigmas as float.hex), eval_map's image
   bytes or its error, over the catalog maps with inverse nodes, a map
-  composed with itself, two maps with left and right inverses (one repeats
-  outer one-sided nodes over inner two-sided ones) and two random rational
-  maps inv(2I + p). Profiles include zero dimensions; points are random, are
+  composed with itself, a map that repeats outer inverse nodes over an inner
+  one that fails where x2 is singular, and two random rational maps
+  inv(2I + p). Profiles include zero dimensions; points are random, are
   scaled to 1e+-150, have one arc zeroed, or have one square arc's condition
   number set to 5e9, 2e10 or 1e13;
 * calculus: the bytes of derivative_matrix and of directional_derivative
@@ -54,8 +54,8 @@ The corpus:
 * conformance: run_conformance(...).as_dict() with all four checks over the
   calculus maps and a map whose inverse fails wherever u > v, at small
   profiles with three trials each, so that every profile runs as one stack
-  of three (the one-sided map and rank_limited skip a whole profile through
-  the fallback to stacks of one); this part takes about half a second, so
+  of three (rank_limited skips a whole profile through the fallback to
+  stacks of one); this part takes about half a second, so
   --quick takes about as long as with one trial per stack;
 * block tolerance: with calculus.BLOCK_TOL patched to -1 and to 1e-15, the
   calculus outputs at one random point per profile and the conformance
@@ -172,21 +172,14 @@ def regularity_maps():
     sch, two_loop = catalog.sch_quiver(), fq.classical_embed(2)
     x1, x2, x12, x21 = (Atom(a) for a in ("x1", "x2", "x12", "x21"))
     x2_inv = Inv(x2)
-    # x12: v -> u and x21: u -> v, so a left inverse of x12 and a right
-    # inverse of x21 exist only when u is at least as large as v
-    one_sided = fq.FreeMapDef(sch, sch, {
-        "x1": Add((x1, Mul((x12, Inv(x12, "left"))))),
-        "x2": Mul((Inv(x12, "left"), x12)),
-        "x12": Mul((Inv(x21, "right"), x2_inv)),
-        "x21": Inv(Mul((x12, x2_inv)), "left"),
-    })
-    left = Inv(Add((x12, Mul((x12, x2_inv)))), "left")
-    right = Inv(Add((x21, Mul((x2_inv, x21)))), "right")
+    # outer nodes at u and at v over x2^-1, each repeated across the entries
+    outer_u = Inv(Add((x1, Mul((x12, x2_inv, x21)))))
+    outer_v = Inv(Add((x2, Mul((x21, x12, x2_inv)))))
     repeated = fq.FreeMapDef(sch, sch, {
-        "x1": Mul((x12, left)),
-        "x2": Add((x2_inv, Mul((left, x12)))),
-        "x12": Mul((right, x2_inv)),
-        "x21": Mul((x2_inv, left, right, x2_inv, left)),
+        "x1": Mul((outer_u, x1, outer_u)),
+        "x2": Add((x2_inv, Mul((x21, outer_u, x12)))),
+        "x12": Mul((outer_u, x12, outer_v)),
+        "x21": Mul((x2_inv, outer_v, x21, outer_u)),
     })
     maps = [
         ("schur", catalog.schur_map()),
@@ -198,8 +191,7 @@ def regularity_maps():
         ("smw_lhs", catalog.smw_lhs_map()),
         ("smw_rhs", catalog.smw_rhs_map()),
         ("rational_triple", catalog.rational_triple_map()),
-        ("one_sided", one_sided),
-        ("one_sided_repeated", repeated),
+        ("repeated_outer", repeated),
     ]
     for seed in (3, 4):
         p = fq.random_polynomial_map(two_loop, two_loop, seed, max_degree=2)
@@ -247,7 +239,7 @@ def regularity_records():
 
     def diagnostics(f, x):
         ok, diags = fq.is_regular(f, x)
-        return [bool(ok)] + [[d.entry, d.node, d.mode, float(d.sigma_min).hex(),
+        return [bool(ok)] + [[d.entry, d.node, float(d.sigma_min).hex(),
                               float(d.sigma_max).hex(), bool(d.ok)] for d in diags]
 
     def image(f, x):
