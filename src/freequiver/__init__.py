@@ -54,7 +54,6 @@ from .exprs import (
     Scale,
     add,
     add_maps,
-    apply_map,
     compose_maps,
     degree,
     eval_expr,

@@ -11,8 +11,8 @@ direction), chain/Leibniz rule checks, and the nilpotent-point trick for
 reading off univariate polynomial coefficients.
 
 Block points come from reps.block_points. Given stacked directions at one
-base point, it returns them as one stacked reps.Points, evaluated at once:
-the derivative matrix takes its matrix-unit columns in chunks of _CHUNK, each
+base point, it returns them as one stack, evaluated at once by eval_map: the
+derivative matrix takes its matrix-unit columns in chunks of _CHUNK, each
 chunk one stacked evaluation of all entries in which every distinct inverse
 node is factored once, and a single directional derivative is the stack of one.
 
@@ -40,7 +40,6 @@ from .exprs import (
     FreeMapDef,
     ProductSpec,
     compose_maps,
-    eval_entries,
     eval_map,
     pair_rep,
     product_maps,
@@ -55,7 +54,7 @@ from .numerics import (
     worst,
 )
 from .reps import (NatTrans, Rep, arc_matrices, block_points, direct_sum, random_rep,
-                   rep_distance, rep_residual, vertex_matrices)
+                   rep_distance, rep_residual, stack_reps, vertex_matrices)
 
 BLOCK_TOL = 1e-8
 IFT_TOL = 1e-8
@@ -136,7 +135,7 @@ def _check_based_at(x: Rep, h: DirectionField) -> None:
 def block_extend(x: Rep, h: DirectionField) -> Rep:
     """The derivative's block point: arc a -> [[X(a), H(a)], [0, X(a)]]."""
     _check_based_at(x, h)
-    return Rep(x.quiver, *block_points(x, x, h.h_mats))
+    return block_points(x, x, h.h_mats)
 
 
 def _block_derivatives(
@@ -146,8 +145,8 @@ def _block_derivatives(
     u: dict[str, np.ndarray],
 ) -> dict[str, np.ndarray]:
     """Df(X)[H_b] per target arc, stacked (B, rows, cols), for the directions
-    u (arc -> (B, rows, cols)), read off one stacked evaluation at the block
-    points [[X, H_b], [0, X]].
+    u (arc -> (B, rows, cols)) at X, one point or a stack of one, read off
+    one stacked evaluation at the block points [[X, H_b], [0, X]].
 
     Each point is held to the single-point checks: every inverse node's
     threshold on its doubled operand, and diagonal blocks that reproduce f(X)
@@ -158,9 +157,10 @@ def _block_derivatives(
     exact 2-norm residuals. Errors name the first direction that fails, as
     taking them one at a time would.
     """
-    batch = len(next(iter(u.values()))) if u else 1
+    points = block_points(x, x, u)
+    batch = points.size
     try:
-        big = eval_entries(f, block_points(x, x, u))
+        big = eval_map(f, points).mats
     except RegularityError:
         if batch > 1:
             for b in range(batch):
@@ -171,8 +171,6 @@ def _block_derivatives(
     for a in f.target_quiver.arcs:
         m, n = fx.dims[a.dst], fx.dims[a.src]
         z = big[a.name]
-        if z.ndim == 2:  # an entry that reads no arc: one matrix for the stack
-            z = np.repeat(z[None], batch, axis=0)
         tl, bl, br = z[:, :m, :n], z[:, m:, :n], z[:, m:, n:]
         base = fx.mats[a.name]
         doubt = ~np.all([frob_norms(r) <= _SCREEN * BLOCK_TOL
@@ -215,7 +213,7 @@ def directional_derivative(
     is not free or the point is effectively irregular)."""
     fx = eval_map(f, x)
     _check_based_at(x, h)
-    tr = _block_derivatives(f, x, fx, {a: m[None] for a, m in h.h_mats.items()})
+    tr = _block_derivatives(f, stack_reps([x]), fx, {a: m[None] for a, m in h.h_mats.items()})
     return DirectionField(fx, {a: m[0] for a, m in tr.items()})
 
 
@@ -428,9 +426,9 @@ def gamma_commutation_check(
         vertex_matrices(x, y, gamma.gammas, "gamma")
 
     def block_point(p: Rep, q: Rep, g) -> Rep:  # [[P, PΓ−ΓQ], [0, Q]], Γ = g per vertex
-        return Rep(p.quiver, *block_points(p, q, {
+        return block_points(p, q, {
             a.name: p.mats[a.name] @ g[a.src] - g[a.dst] @ q.mats[a.name] for a in p.quiver.arcs
-        }))
+        })
 
     big = eval_map(f, block_point(x, y, gamma.gammas))
     image_gammas = {v: gamma.gammas[s] for v, s in f.vertex_map.items()}

@@ -25,7 +25,6 @@ import numpy as np
 from .calculus import (
     IFT_TOL,
     directional_derivative,
-    direction_residual,
     finite_difference,
     ift_certificate,
     nilpotent_coefficients,
@@ -208,13 +207,29 @@ def _zero_arc(x: Rep, arc: str) -> Rep:
 # ---------------------------------------------------------------------------
 # Commands
 
-def cmd_eval(job: argparse.Namespace, rep: Report) -> int:
-    f = _load_map(job)
-    x = _load_point(job, f)
+def _finite_image(f: FreeMapDef, x: Rep) -> Rep:
+    """f(x), or FloatingPointError naming the first target arc whose image is
+    not finite: eval, derive and certify all stop there with that line."""
     image = eval_map(f, x)
     for a in f.target_quiver.arc_names():
         if not np.isfinite(image.mats[a]).all():
             raise FloatingPointError(f"image not finite at arc {a!r}")
+    return image
+
+
+def _fd_residual(dd, fd) -> float:
+    """The worst arc's ‖dd − fd‖₂ over the largest ‖dd‖₂ or ‖fd‖₂ of any arc,
+    0.0 when both vanish: measured against the derivative's own size, so
+    that a tiny derivative cannot pass every finite difference."""
+    gap = worst(op_norm(dd.h_mats[a] - fd.h_mats[a]) for a in dd.h_mats)
+    size = worst(op_norm(m) for d in (dd, fd) for m in d.h_mats.values())
+    return gap / size if size else 0.0
+
+
+def cmd_eval(job: argparse.Namespace, rep: Report) -> int:
+    f = _load_map(job)
+    x = _load_point(job, f)
+    image = _finite_image(f, x)
     obj = rep_to_obj(image)
     rep.records.append({"v": RECORD_VERSION, **obj})
     for a in f.target_quiver.arcs:
@@ -226,13 +241,14 @@ def cmd_eval(job: argparse.Namespace, rep: Report) -> int:
 def cmd_derive(job: argparse.Namespace, rep: Report) -> int:
     f = _load_map(job)
     x = _load_point(job, f)
+    _finite_image(f, x)
     seed = resolve_seed(job.seed)
     h = random_direction(x, seed + 1)
     dd = directional_derivative(f, x, h)
     s = max((np.abs(m).max(initial=0.0) for m in x.mats.values()), default=0.0)
     eps = FD_EPS * (float(s) or 1.0)  # relative, so that X + eps H != X at any scale
     fd = finite_difference(f, x, h, eps)
-    residual = direction_residual(dd, fd)
+    residual = _fd_residual(dd, fd)
     tol = job.tol if job.tol is not None else FD_PASS_TOL
     for a in f.target_quiver.arcs:
         rep.record(
@@ -251,6 +267,7 @@ def cmd_certify(job: argparse.Namespace, rep: Report) -> int:
     x = _load_point(job, f)
     if job.zero_arc is not None:
         x = _zero_arc(x, job.zero_arc)
+    _finite_image(f, x)
     tol = job.tol if job.tol is not None else IFT_TOL
     cert = ift_certificate(f, x, tol=tol)
     fields = {

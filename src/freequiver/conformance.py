@@ -8,11 +8,12 @@ the derivative certificate reports full rank — that it also reflects them
 Every trial is reproducible from (master_seed, trial_index, check_name) alone.
 
 For each check, the trials of one dimension profile (trial index ≡ p modulo
-the number of profiles) run as one stack: every trial draws its own points
-from its own seed, the stack is evaluated at once, and the outcomes are
-recorded in trial order, bit for bit those of the trials run one by one. A
-stack that raises RegularityError or BlockMismatchError runs again as stacks
-of one. lemma_part1 runs trial by trial.
+the number of profiles) run as one stack, a Rep with a size: every trial
+draws its own points from its own seed, eval_map evaluates the stack at once
+as it does one point, and the outcomes are recorded in trial order, bit for
+bit those of the trials run one by one. A stack that raises RegularityError
+or BlockMismatchError runs again as stacks of one. lemma_part1 runs trial by
+trial.
 """
 
 from __future__ import annotations
@@ -25,13 +26,12 @@ import numpy as np
 
 from .calculus import ift_certificate
 from .errors import BlockMismatchError, RegularityError
-from .exprs import FreeMapDef, MapLike, apply_map, eval_entries
+from .exprs import FreeMapDef, MapLike, eval_map
 from .numerics import worst
 from .quivers import Quiver
 from .reps import (
     NatTrans,
     Rep,
-    RepStack,
     check_nat_trans,
     conjugate,
     direct_sum,
@@ -151,16 +151,13 @@ def _image_vertex(f: MapLike, v: str) -> str:
     return f.vertex_map[v] if isinstance(f, FreeMapDef) else v
 
 
-def _images(f: MapLike, x: RepStack) -> RepStack:
-    """f at every point of x, stacked alike: one evaluation of a FreeMapDef,
-    or one call of a raw callable per point."""
-    if not isinstance(f, FreeMapDef):
-        return stack_reps([f(Rep(x.quiver, dict(x.dims), {a: m[b] for a, m in x.mats.items()}))
-                           for b in range(x.size)])
-    dims = {v: x.dims[f.vertex_map[v]] for v in f.target_quiver.vertices}
-    # an entry that reads no arc (an identity) is one matrix for every point
-    mats = {a: np.broadcast_to(m, (x.size,) + m.shape[-2:]) for a, m in eval_entries(f, x).items()}
-    return RepStack(f.target_quiver, dims, mats, x.size)
+def _images(f: MapLike, x: Rep) -> Rep:
+    """f at every point of the stack x, stacked alike: one evaluation of a
+    FreeMapDef, or one call of a raw callable per point."""
+    if isinstance(f, FreeMapDef):
+        return eval_map(f, x)
+    return stack_reps([f(Rep(x.quiver, dict(x.dims), {a: m[b] for a, m in x.mats.items()}))
+                       for b in range(x.size)])
 
 
 def _run_stack(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
@@ -206,7 +203,7 @@ def _run_stack(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
             items[:, 0, :n], items[:, 1, n:] = g, g
             pushed[v] = items.reshape(2 * len(g), 2 * n, n)
         per_arc = nat_trans_residuals(
-            *(RepStack(r.quiver, r.dims, {a: m[owner] for a, m in r.mats.items()}, len(owner))
+            *(Rep(r.quiver, r.dims, {a: m[owner] for a, m in r.mats.items()}, len(owner))
               for r in (f_big, f_x)),
             {w: pushed[_image_vertex(f, w)] for w in f_x.quiver.vertices})
         for k, b in enumerate(kept):
@@ -229,7 +226,7 @@ def _lemma_part1(f: MapLike, q: Quiver, x: Rep, seed: int) -> float | None:
     cert = ift_certificate(f, direct_sum(x, y))
     if cert.status != "full_rank":
         return None  # no injectivity evidence at this point
-    fx, fy = apply_map(f, x), apply_map(f, y)
+    fx, fy = eval_map(f, x), eval_map(f, y)
     basis = intertwiner_space(fx, fy)
     if not basis:
         return None

@@ -8,9 +8,10 @@ like the usual right-to-left function notation ("y x" applies x first).
 A FreeMapDef packages one typed Expr per target arc, together with the
 identification of target vertices with source vertices (exact name equality
 unless an explicit map is given). Evaluation substitutes a representation's
-matrices for the atoms; such maps respect direct sums and natural
-transformations by construction, which is what the conformance harness
-re-verifies numerically.
+matrices for the atoms, at one point or at every point of a stack in one
+walk; such maps respect direct sums and natural transformations by
+construction, which is what the conformance harness re-verifies
+numerically.
 """
 
 from __future__ import annotations
@@ -343,11 +344,10 @@ class InvDiagnostic:
 def eval_expr(e: Expr, x: Rep) -> np.ndarray:
     """Evaluate e on the representation x.
 
-    x may also be a reps.Points, a Rep's dims and mats with the arc matrices
-    stacked (B, m, n): numpy's products, SVDs and inverses broadcast over the
-    leading axis, so one walk evaluates B points of one dimension profile.
-    The walk computes every distinct inverse node once and returns repeats
-    from its memo.
+    x may also be a stack, its arc matrices stacked (size, m, n): numpy's
+    products, SVDs and inverses broadcast over the leading axis, so one walk
+    evaluates every point of the stack. The walk computes every distinct
+    inverse node once and returns repeats from its memo.
 
     An inverse node is regular when numerics.inverse_rule passes its operand
     at every point of a stack. A non-empty square operand whose computed
@@ -474,33 +474,26 @@ def identity_map(q: Quiver) -> FreeMapDef:
 
 def eval_map(f: FreeMapDef, x: Rep) -> Rep:
     """Evaluate every entry on x. The image lives over the target quiver with
-    the same dimensions under the vertex identification (objects unchanged)."""
+    the same dimensions under the vertex identification (objects unchanged);
+    of a stack, it is a stack of the same size, where an entry that reads no
+    arc is one matrix repeated for every point.
+
+    The entries are evaluated in entry order through one walk: they share
+    one memo, so an inverse node that occurs in several of them is decided
+    and factored once, and the first that fails raises RegularityError. An
+    entry whose value is already another entry's array (a repeated inverse
+    node, a repeated arc) gets a copy, so no two entries share storage."""
     if x.quiver != f.source_quiver:
         raise ValueError("representation is over a different quiver than the map's source")
-    dims = {v: x.dims[f.vertex_map[v]] for v in f.target_quiver.vertices}
-    return Rep(f.target_quiver, dims, eval_entries(f, x))
-
-
-def eval_entries(f: FreeMapDef, x: Rep) -> dict[str, np.ndarray]:
-    """Every entry of f on x (a Rep, or stacked points as eval_expr takes),
-    in entry order, through one walk: the entries share one memo, so an
-    inverse node that occurs in several of them is decided and factored
-    once, and the first that fails raises RegularityError. An entry whose
-    value is already another entry's array (a repeated inverse node, a
-    repeated arc) gets a copy, so no two entries share storage."""
     memo: dict = {}
-    vals: dict[str, np.ndarray] = {}
+    mats: dict[str, np.ndarray] = {}
     for r, e in f.entries.items():
         v = _eval(e, x, r, memo)
-        vals[r] = v.copy() if any(v is w for w in vals.values()) else v
-    return vals
-
-
-def apply_map(f: MapLike, x: Rep) -> Rep:
-    """eval_map for FreeMapDefs; direct call for raw callables (test hooks)."""
-    if isinstance(f, FreeMapDef):
-        return eval_map(f, x)
-    return f(x)
+        if x.size is not None and v.ndim == 2:
+            v = np.repeat(v[None], x.size, axis=0)
+        mats[r] = v.copy() if any(v is w for w in mats.values()) else v
+    dims = {v: x.dims[f.vertex_map[v]] for v in f.target_quiver.vertices}
+    return Rep(f.target_quiver, dims, mats, x.size)
 
 
 def is_regular(f: FreeMapDef, x: Rep) -> tuple[bool, list[InvDiagnostic]]:

@@ -5,18 +5,20 @@ dimension (0 allowed) and each arc a a matrix of shape dims[dst(a)] x
 dims[src(a)]. Natural transformations are per-vertex matrices making all the
 arc squares commute; the intertwiner space is computed by vectorizing all
 per-vertex unknowns into one homogeneous linear system and taking its SVD
-nullspace. Every block point [[X, U], [0, Y]] (the direct sum is U = 0, the
-block trick's derivative point is [[X, H], [0, X]]) comes from block_points,
-as one point or a stack of them. Functions that also take a RepStack treat
-all its points in one numpy call per arc or vertex; LAPACK and BLAS run it
-matrix by matrix, so each point keeps the bits it has alone.
+nullspace. A Rep with a size is a stack of that many points of one dimension
+profile, each arc's matrices stacked (size, rows, cols); stack_reps builds
+one. Every block point [[X, U], [0, Y]] (the direct sum is U = 0, the block
+trick's derivative point is [[X, H], [0, X]]) comes from block_points, as one
+point or a stack of them. Functions that also take a stack treat all its
+points in one numpy call per arc or vertex; LAPACK and BLAS run it matrix by
+matrix, so each point keeps the bits it has alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from itertools import accumulate
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -37,11 +39,14 @@ from .quivers import Path, Quiver, RelationPresentation, check_path
 
 @dataclass(eq=False)
 class Rep:
-    """quiver + dims (vertex -> size) + mats (arc -> dims[dst] x dims[src])."""
+    """quiver + dims (vertex -> size) + mats (arc -> dims[dst] x dims[src]);
+    with a size, a stack of size points, each arc's matrices stacked (size,
+    dims[dst], dims[src]). The size holds even where the quiver has no arcs."""
 
     quiver: Quiver
     dims: dict[str, int]
     mats: dict[str, np.ndarray]
+    size: int | None = None
 
     def __post_init__(self):
         self.dims = {v: int(n) for v, n in self.dims.items()}
@@ -55,14 +60,16 @@ class Rep:
 
 def arc_matrices(x: Rep, mats: Mapping, kind: str = "") -> dict[str, np.ndarray]:
     """mats as complex matrices in x's arc order, checked to hold one matrix of
-    shape x.dims[dst] x x.dims[src] per arc of x.quiver and nothing else;
-    kind (e.g. "direction ") prefixes "matrix" in the errors."""
+    shape x.dims[dst] x x.dims[src] (a stack of x.size of them for a stack x)
+    per arc of x.quiver and nothing else; kind (e.g. "direction ") prefixes
+    "matrix" in the errors."""
+    lead = () if x.size is None else (x.size,)
     out = {}
     for a in x.quiver.arcs:
         if a.name not in mats:
             raise ValueError(f"missing {kind}matrix for arc {a.name!r}")
-        m = as_complex_matrix(mats[a.name])
-        want = (x.dims[a.dst], x.dims[a.src])
+        m = np.asarray(mats[a.name], dtype=np.complex128)
+        want = lead + (x.dims[a.dst], x.dims[a.src])
         if m.shape != want:
             raise ValueError(
                 f"arc {a.name!r}: {kind}matrix shape {m.shape} != required {want}"
@@ -99,11 +106,11 @@ def rep_distance(x: Rep, y: Rep) -> float:
 
 def rep_residual(x: Rep, y: Rep) -> float:
     """Max relative arc-matrix difference between two same-shape reps; 0.0
-    over a quiver without arcs. For RepStacks, a list of one per point."""
+    over a quiver without arcs. For stacks, a list of one per point."""
     if x.quiver != y.quiver or x.dims != y.dims:
         raise ValueError("reps live on different quivers or dimension profiles")
     diffs = [rel_diff(x.mats[a], y.mats[a]) for a in x.quiver.arc_names()]
-    if isinstance(x, Rep):
+    if x.size is None:
         return worst(diffs)
     return [worst(d[b] for d in diffs) for b in range(x.size)]
 
@@ -118,71 +125,52 @@ def eval_path(x: Rep, p: Path) -> np.ndarray:
     return out
 
 
-class Points(NamedTuple):
-    """A Rep's dims and arc matrices, each one matrix or a stack (..., rows,
-    cols) of one dimension profile: what eval_expr takes in place of a Rep."""
-
-    dims: dict[str, int]
-    mats: dict[str, np.ndarray]
-
-
-class RepStack(NamedTuple):
-    """size reps of one dimension profile over one quiver, their arc matrices
-    stacked (size, rows, cols) in order; eval_expr takes it as it takes
-    Points. The size holds even where the quiver has no arcs."""
-
-    quiver: Quiver
-    dims: dict[str, int]
-    mats: dict[str, np.ndarray]
-    size: int
-
-
-def stack_reps(reps: Sequence[Rep]) -> RepStack:
-    """Reps of the first one's quiver and dimension profile as one RepStack."""
+def stack_reps(reps: Sequence[Rep]) -> Rep:
+    """Reps of the first one's quiver and dimension profile as one stack."""
     first = reps[0]
-    return RepStack(first.quiver, dict(first.dims),
-                    {a: np.stack([r.mats[a] for r in reps]) for a in first.mats}, len(reps))
+    return Rep(first.quiver, dict(first.dims),
+               {a: np.stack([r.mats[a] for r in reps]) for a in first.mats}, len(reps))
 
 
-def block_points(x: Rep, y: Rep, u: Mapping | None = None) -> Points:
+def block_points(x: Rep, y: Rep, u: Mapping | None = None) -> Rep:
     """Arc a -> [[X(a), U(a)], [0, Y(a)]] over the shared quiver, dims summed
     per vertex: U(a) is x.dims[dst] by y.dims[src], and zero without u (the
-    direct sum). Each of x, y (Reps or RepStacks) and U may be one point or
-    a stack (..., rows, cols), the stacks of one shape. A free map's
-    upper-right blocks at [[X, H], [0, X]] are its derivative Df(X)[H]."""
+    direct sum). Each of x, y and U may be one point or a stack (size, rows,
+    cols), the stacks of one size; the result is a stack when any of them
+    is. A free map's upper-right blocks at [[X, H], [0, X]] are its
+    derivative Df(X)[H]."""
     if x.quiver != y.quiver:
         raise ValueError("block points need reps over the same quiver")
     extra = sorted(set(u) - set(x.mats)) if u else []
     if extra:
         raise ValueError(f"upper-right blocks for unknown arcs: {extra}")
+    sizes = [s for s in (x.size, y.size) if s is not None] + [
+        len(m) for m in (u or {}).values() if np.ndim(m) == 3]
+    size = sizes[0] if sizes else None
+    lead = () if size is None else (size,)
     dims = {v: x.dims[v] + y.dims[v] for v in x.quiver.vertices}
     mats = {}
     for a in x.quiver.arcs:
         xm, ym = x.mats[a.name], y.mats[a.name]
         rows, cols = xm.shape[-2:]
-        lead = max(xm.shape[:-2], ym.shape[:-2], key=len)
-        if u is None:
-            m = np.zeros(lead + (dims[a.dst], dims[a.src]), dtype=np.complex128)
-        else:
+        m = np.zeros(lead + (dims[a.dst], dims[a.src]), dtype=np.complex128)
+        if u is not None:
             if a.name not in u:
                 raise ValueError(f"missing upper-right block for arc {a.name!r}")
             um, want = np.asarray(u[a.name]), (rows, ym.shape[-1])
             if um.shape[-2:] != want:
                 raise ValueError(f"block at {a.name!r}: upper-right shape {um.shape} != {want}")
-            lead = max(lead, um.shape[:-2], key=len)
-            m = np.zeros(lead + (dims[a.dst], dims[a.src]), dtype=np.complex128)
             m[..., :rows, cols:] = um
         m[..., :rows, :cols] = xm
         m[..., rows:, cols:] = ym
         mats[a.name] = m
-    return Points(dims, mats)
+    return Rep(x.quiver, dims, mats, size)
 
 
 def direct_sum(x: Rep, y: Rep) -> Rep:
     """Blockwise direct sum: dims add per vertex, arc matrices become
-    [[X(a), 0], [0, Y(a)]]; of two RepStacks, point by point."""
-    p = block_points(x, y)
-    return Rep(x.quiver, *p) if isinstance(x, Rep) else x._replace(dims=p.dims, mats=p.mats)
+    [[X(a), 0], [0, Y(a)]]; of two stacks, point by point."""
+    return block_points(x, y)
 
 
 @dataclass(eq=False)
@@ -225,7 +213,7 @@ class NatAuto:
 
 def conjugate(x: Rep, s: NatAuto | Mapping[str, np.ndarray]) -> Rep:
     """Arc a -> S_dst^{-1} X(a) S_src, for a NatAuto s of x; or for a
-    RepStack x, with s mapping each vertex to the stack (size, n, n) of its
+    stack x, with s mapping each vertex to the stack (size, n, n) of its
     automorphisms, one per point, already known to be invertible."""
     if isinstance(s, NatAuto):
         if s.rep.quiver != x.quiver or s.rep.dims != x.dims:
@@ -236,7 +224,7 @@ def conjugate(x: Rep, s: NatAuto | Mapping[str, np.ndarray]) -> Rep:
         xm = x.mats[a.name]
         mats[a.name] = np.linalg.solve(s[a.dst], xm @ s[a.src]) if x.dims[a.dst] else np.zeros(
             xm.shape[:-2] + (0, x.dims[a.src]), dtype=np.complex128)
-    return Rep(x.quiver, dict(x.dims), mats) if isinstance(x, Rep) else x._replace(mats=mats)
+    return Rep(x.quiver, dict(x.dims), mats, x.size)
 
 
 @dataclass
@@ -262,7 +250,7 @@ def nat_trans_residuals(x: Rep, y: Rep, gammas: Mapping[str, np.ndarray]) -> dic
     """Per generating arc a,
     ||X(a) G_src - G_dst Y(a)|| / (1 + ||X(a)|| * max_v ||G_v||)
     for the transformation y -> x with per-vertex matrices gammas; or, for
-    RepStacks x and y with gammas stacked alike (size, rows, cols), one
+    stacks x and y with gammas stacked alike (size, rows, cols), one
     transformation per point, an array of one residual per point.
     Generating arcs suffice because the path category is free on them."""
     gamma_scale = np.max([op_norms(m) for m in gammas.values()], axis=0, initial=0.0)
@@ -273,7 +261,7 @@ def nat_trans_residuals(x: Rep, y: Rep, gammas: Mapping[str, np.ndarray]) -> dic
 
 def intertwiner_space(x: Rep, y: Rep) -> list[NatTrans]:
     """Orthonormal basis (stacked-vector inner product) of all natural
-    transformations y -> x. For RepStacks x and y of one size, one basis
+    transformations y -> x. For stacks x and y of one size, one basis
     per point, each a list of per-vertex matrix dicts.
 
     The equations X(a) G_src - G_dst Y(a) = 0 over all arcs are assembled into
@@ -289,7 +277,7 @@ def intertwiner_space(x: Rep, y: Rep) -> list[NatTrans]:
     sizes = {v: x.dims[v] * y.dims[v] for v in q.vertices}
     offsets = dict(zip(q.vertices, accumulate(sizes.values(), initial=0)))
     rows = sum(x.dims[a.dst] * y.dims[a.src] for a in q.arcs)
-    lead = () if isinstance(x, Rep) else (x.size,)
+    lead = () if x.size is None else (x.size,)
     system = np.zeros(lead + (rows, sum(sizes.values())), dtype=np.complex128)
     r0 = 0
     for a in q.arcs:

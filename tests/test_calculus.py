@@ -282,6 +282,25 @@ class TestDirectionalDerivative:
         denom = 1.0 + np.linalg.norm(want, 2)
         assert np.linalg.norm(dd - want, 2) / denom <= 1e-9
 
+    def test_outputs_are_writeable_and_share_no_storage(self):
+        # an identity entry reads no arc, so a stacked evaluation holds one
+        # matrix for every point; the repeated inverse gives two entries one
+        # value. Every array handed back must still be the caller's own.
+        q = two_loop()
+        target = Quiver(("u",), tuple(Arc(a, "u", "u") for a in ("a", "b", "c", "d")))
+        f = FreeMapDef(q, target, {"a": Id("u"), "b": inv(Atom("x")), "c": inv(Atom("x")),
+                                   "d": add(Atom("y"), Id("u"))})
+        x = random_rep(q, {"u": 3}, 26)
+        h = random_direction(x, 27)
+        dm = derivative_matrix(f, x)
+        arrays = [*x.mats.values(), *h.h_mats.values(), *eval_map(f, x).mats.values(),
+                  *directional_derivative(f, x, h).h_mats.values(), dm.matrix,
+                  *dm.image_base.mats.values()]
+        assert len(arrays) == 17
+        for i, m in enumerate(arrays):
+            assert m.flags.writeable
+            assert not any(np.shares_memory(m, n) for n in arrays[i + 1:])
+
     def test_linearity_in_direction(self):
         for f, x in (
             (worked_map(), random_sch(22)),
@@ -1148,10 +1167,10 @@ class TestGammaCommutation:
         g = {v: rng.standard_normal(s) + 1j * rng.standard_normal(s)
              for v, s in {"u": (3, 2), "v": (2, 3)}.items()}
         gamma = NatTrans(y, x, g)
-        big = eval_map(f, Rep(x.quiver, *block_points(x, y, {
+        big = eval_map(f, block_points(x, y, {
             a.name: x.mats[a.name] @ g[a.src] - g[a.dst] @ y.mats[a.name]
             for a in x.quiver.arcs
-        })))
+        }))
         fx, fy = eval_map(f, x), eval_map(f, y)
         want = 0.0
         for a in f.target_quiver.arcs:

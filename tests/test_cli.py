@@ -13,7 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import freequiver
-from freequiver import calculus
+from freequiver import calculus, cli
 from freequiver.catalog import (
     block_inverse_map,
     ppt_map,
@@ -24,7 +24,7 @@ from freequiver.catalog import (
 )
 from freequiver.cli import FD_EPS, main, parse_dims, parse_poly
 from freequiver.errors import ParseError, TypecheckError
-from freequiver.exprs import Atom, FreeMapDef, ProductSpec, eval_map, mul
+from freequiver.exprs import Atom, FreeMapDef, Id, ProductSpec, eval_map, mul
 from freequiver.quivers import Quiver, classical_embed
 from freequiver.reps import Rep, random_rep
 from freequiver.serialize import (
@@ -331,6 +331,38 @@ class TestExitCodes:
         for arc, m in dd.h_mats.items():
             ref = np.linalg.norm(1e240 * m) / 1e240
             assert abs(norms[arc] - ref) <= 1e-12 * ref
+
+    def test_derive_residual_is_relative_to_the_derivative(self, tmp_path, capsys, monkeypatch):
+        # at block_inverse's point scaled by 1e120 the derivative is near
+        # 1e-240: a finite difference twice as large must fail, with the worst
+        # gap ‖fd − dd‖₂ ≈ ‖dd‖₂ over the largest norm ‖fd‖₂ ≈ 2‖dd‖₂
+        x = random_rep(sch_quiver(), {"u": 3, "v": 2}, 9)
+        x = Rep(x.quiver, x.dims, {a: 1e120 * m for a, m in x.mats.items()})
+        map_path, rep_path = tmp_path / "f.json", tmp_path / "x.json"
+        dump(block_inverse_map(), map_path)
+        dump(x, rep_path)
+        real = cli.finite_difference
+
+        def doubled(*args):
+            fd = real(*args)
+            return calculus.DirectionField(fd.base, {a: 2 * m for a, m in fd.h_mats.items()})
+
+        monkeypatch.setattr(cli, "finite_difference", doubled)
+        capsys.readouterr()
+        assert main(["derive", "--map", str(map_path), "--rep", str(rep_path),
+                     "--seed", "9", "--format", "machine"]) == 1
+        check = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert not check["passed"] and abs(check["residual"] - 0.5) <= 1e-4
+
+    def test_derive_of_a_constant_map_passes(self, tmp_path, capsys):
+        # derivative and finite difference both vanish: residual 0
+        q = classical_embed(1)
+        map_path = tmp_path / "f.json"
+        dump(FreeMapDef(q, q, {"x": Id("u")}), map_path)
+        assert main(["derive", "--map", str(map_path), "--dims", "u=3",
+                     "--format", "machine"]) == 0
+        check = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert check["passed"] and check["residual"] == 0.0
 
     def test_certify_collision_exits_1(self, schur_file, capsys):
         code = main(["certify", "--map", schur_file, "--dims", "u=3,v=2",
@@ -751,3 +783,9 @@ class TestFuzzedDefinitions:
             assert isinstance(loads(captured.out), Rep)
         else:
             assert code == 3 and captured.out == "" and captured.err.count("\n") == 1
+            # derive and certify stop at the same point with eval's line
+            for command in ("derive", "certify"):
+                assert main([command, "--map", str(map_path), "--rep", str(rep_path)]) == 3
+                assert capsys.readouterr() == ("", captured.err)
+        if label == "poly" and scale >= 1e120:
+            assert captured.err == "numerical failure: image not finite at arc 'x1'\n"

@@ -3,7 +3,6 @@ monomial decomposition, products."""
 
 import math
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -65,6 +64,7 @@ from freequiver.reps import (
     random_auto,
     random_rep,
     rep_residual,
+    stack_reps,
 )
 
 
@@ -561,15 +561,20 @@ class TestInverseNodeSharing:
     def test_stacked_points_match_single_points(self):
         f = block_inverse_map()
         points = [random_sch(43 + i) for i in range(3)]
-        stack = SimpleNamespace(
-            dims=dict(points[0].dims),
-            mats={a: np.stack([p.mats[a] for p in points]) for a in points[0].mats},
-        )
+        stack = stack_reps(points)
         for r, e in f.entries.items():
             got = eval_expr(e, stack)
             assert got.shape[0] == 3
             for b, p in enumerate(points):
                 assert np.array_equal(got[b], eval_expr(e, p))
+        # the image of a stack is a stack, an entry that reads no arc repeated
+        t = Quiver(("w",), (Arc("a", "w", "w"), Arc("b", "w", "w")))
+        for g in (f, FreeMapDef(sch_quiver(), t, {"a": Id("u"), "b": inv(Atom("x1"))}, {"w": "u"})):
+            image = eval_map(g, stack)
+            assert image.size == 3
+            for b, p in enumerate(points):
+                for a, m in eval_map(g, p).mats.items():
+                    assert np.array_equal(image.mats[a][b], m)
         stack.mats["x1"][1] = 0
         with pytest.raises(RegularityError, match=r"x1\^-1"):
             eval_expr(f.entries["x1"], stack)

@@ -187,7 +187,8 @@ class TestBlockPoints:
     def test_quiver_without_arcs(self):
         q = Quiver(("u", "v"), ())
         x, y = random_rep(q, {"u": 2, "v": 0}, 1), random_rep(q, {"u": 1, "v": 3}, 2)
-        assert block_points(x, y, {}) == ({"u": 3, "v": 3}, {})
+        z = block_points(x, y, {})
+        assert (z.dims, z.mats, z.size) == ({"u": 3, "v": 3}, {}, None)
         assert direct_sum(x, y).dims == {"u": 3, "v": 3}
 
     def test_missing_upper_right_block(self):
@@ -411,11 +412,24 @@ STACK_POINTS = [(sch_quiver(), p) for p in [(0, 2), (3, 0), (0, 0), (1, 1), (2, 
 
 
 class TestRepStacks:
-    """A RepStack's points each get the bits of the single-point forms."""
+    """A stack's points each get the bits of the single-point forms."""
 
     @staticmethod
     def _points(q, profile, seed):
         return [random_rep(q, dict(zip(q.vertices, profile)), seed + b) for b in range(3)]
+
+    def test_size_is_checked_and_kept(self):
+        q = sch_quiver()
+        xs = self._points(q, (3, 2), 110)
+        x = stack_reps(xs)
+        assert x.size == 3 and x.mats["x12"].shape == (3, 3, 2)
+        mats = {**{a: m[:2] for a, m in x.mats.items()}, "x12": xs[0].mats["x12"]}
+        with pytest.raises(ValueError, match=r"arc 'x12': matrix shape \(3, 2\) != required \(2, 3, 2\)"):
+            Rep(q, x.dims, mats, 2)
+        # without arcs, only the size says how many points there are
+        bare = stack_reps(self._points(Quiver(("u",), ()), (2,), 120))
+        assert bare.size == 3 and bare.mats == {}
+        assert direct_sum(bare, bare).size == conjugate(bare, {"u": np.eye(2)}).size == 3
 
     @pytest.mark.parametrize("q, profile", STACK_POINTS)
     def test_intertwiner_space(self, q, profile):

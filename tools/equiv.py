@@ -41,7 +41,8 @@ The corpus:
   a conjugate, a random point and its direct sum with another, on five
   quivers (one without arcs);
 * block points: the dims and bytes of direct_sum, mixed_block_rep (the Rep
-  at reps.block_points(x, y, u) in a tree without it) and block_extend for
+  of reps.block_points(x, y, u), which is a Rep itself or, in older trees, a
+  Points tuple of dims and mats) and block_extend for
   points x != y on the intertwiner quivers, y at x's profile and at the next
   one, and gamma_commutation_check (float.hex) for a random gamma over the
   calculus maps at the same pairs;
@@ -399,10 +400,11 @@ def block_records():
     import freequiver as fq
     from freequiver import calculus, reps
 
-    def mixed_block_rep(x, y, u):  # the Rep at reps.block_points where it is gone
+    def mixed_block_rep(x, y, u):  # calculus.mixed_block_rep where it is still there
         if hasattr(calculus, "mixed_block_rep"):
             return calculus.mixed_block_rep(x, y, u)
-        return fq.Rep(x.quiver, *reps.block_points(x, y, u))
+        z = reps.block_points(x, y, u)
+        return z if isinstance(z, fq.Rep) else fq.Rep(x.quiver, *z)
 
     def gaussians(shapes, seed):
         rng = np.random.Generator(np.random.PCG64(seed))
