@@ -47,6 +47,7 @@ from .exprs import (
 from .numerics import (
     frob_norms,
     kernel,
+    op_norm,
     op_norms,
     rel_diff,
     rel_residual,
@@ -96,6 +97,15 @@ def direction_residual(h: DirectionField, k: DirectionField) -> float:
     """Max relative componentwise difference between two direction fields;
     0.0 when they have no components."""
     return worst(rel_diff(h.h_mats[a], k.h_mats[a]) for a in h.h_mats)
+
+
+def scaled_residual(h: DirectionField, k: DirectionField) -> float:
+    """The worst arc's ‖h − k‖₂ over the largest ‖h‖₂ or ‖k‖₂ of any arc, 0.0
+    when both vanish: measured against the fields' own size, so that a tiny
+    field cannot match every other as it does under direction_residual."""
+    gap = worst(op_norm(h.h_mats[a] - k.h_mats[a]) for a in h.h_mats)
+    size = worst(op_norm(m) for d in (h, k) for m in d.h_mats.values())
+    return gap / size if size else 0.0
 
 
 def direction_slots(x: Rep) -> list[tuple[str, int, int, int]]:
@@ -218,11 +228,7 @@ def directional_derivative(
 
 
 def shift_rep(x: Rep, h: DirectionField, eps: float) -> Rep:
-    return Rep(
-        x.quiver,
-        dict(x.dims),
-        {a: x.mats[a] + eps * h.h_mats[a] for a in x.mats},
-    )
+    return Rep(x.quiver, dict(x.dims), {a: x.mats[a] + eps * h.h_mats[a] for a in x.mats})
 
 
 def finite_difference(
@@ -234,6 +240,13 @@ def finite_difference(
     return DirectionField(
         fx, {a: (fs.mats[a] - fx.mats[a]) / eps for a in fx.mats}
     )
+
+
+def central_difference(f: FreeMapDef, x: Rep, h: DirectionField, eps: float) -> DirectionField:
+    """(f(X + eps H) - f(X - eps H)) / 2 eps, the second-order oracle for Df(X)[H]:
+    its truncation error is O(eps²), the forward difference's O(eps)."""
+    fp, fm = (eval_map(f, shift_rep(x, h, e)).mats for e in (eps, -eps))
+    return DirectionField(eval_map(f, x), {a: (fp[a] - fm[a]) / (2 * eps) for a in fp})
 
 
 def fd_errors(

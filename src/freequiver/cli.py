@@ -24,13 +24,14 @@ import numpy as np
 
 from .calculus import (
     IFT_TOL,
+    central_difference,
     directional_derivative,
-    finite_difference,
     ift_certificate,
     nilpotent_coefficients,
     nilpotent_matrix,
     observed_order,
     random_direction,
+    scaled_residual,
 )
 from .catalog import (
     assemble_blocks,
@@ -217,15 +218,6 @@ def _finite_image(f: FreeMapDef, x: Rep) -> Rep:
     return image
 
 
-def _fd_residual(dd, fd) -> float:
-    """The worst arc's ‖dd − fd‖₂ over the largest ‖dd‖₂ or ‖fd‖₂ of any arc,
-    0.0 when both vanish: measured against the derivative's own size, so
-    that a tiny derivative cannot pass every finite difference."""
-    gap = worst(op_norm(dd.h_mats[a] - fd.h_mats[a]) for a in dd.h_mats)
-    size = worst(op_norm(m) for d in (dd, fd) for m in d.h_mats.values())
-    return gap / size if size else 0.0
-
-
 def cmd_eval(job: argparse.Namespace, rep: Report) -> int:
     f = _load_map(job)
     x = _load_point(job, f)
@@ -247,8 +239,8 @@ def cmd_derive(job: argparse.Namespace, rep: Report) -> int:
     dd = directional_derivative(f, x, h)
     s = max((np.abs(m).max(initial=0.0) for m in x.mats.values()), default=0.0)
     eps = FD_EPS * (float(s) or 1.0)  # relative, so that X + eps H != X at any scale
-    fd = finite_difference(f, x, h, eps)
-    residual = _fd_residual(dd, fd)
+    fd = central_difference(f, x, h, eps)
+    residual = scaled_residual(dd, fd)
     tol = job.tol if job.tol is not None else FD_PASS_TOL
     for a in f.target_quiver.arcs:
         rep.record(

@@ -341,18 +341,36 @@ class TestExitCodes:
         map_path, rep_path = tmp_path / "f.json", tmp_path / "x.json"
         dump(block_inverse_map(), map_path)
         dump(x, rep_path)
-        real = cli.finite_difference
+        real = cli.central_difference
 
         def doubled(*args):
             fd = real(*args)
             return calculus.DirectionField(fd.base, {a: 2 * m for a, m in fd.h_mats.items()})
 
-        monkeypatch.setattr(cli, "finite_difference", doubled)
+        monkeypatch.setattr(cli, "central_difference", doubled)
         capsys.readouterr()
         assert main(["derive", "--map", str(map_path), "--rep", str(rep_path),
                      "--seed", "9", "--format", "machine"]) == 1
         check = json.loads(capsys.readouterr().out.splitlines()[-1])
         assert not check["passed"] and abs(check["residual"] - 0.5) <= 1e-4
+
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e120])
+    @pytest.mark.parametrize("make", [schur_map, lambda: ppt_map("pivot_D")],
+                             ids=["schur", "ppt_D"])
+    def test_derive_passes_at_an_ill_conditioned_point(self, make, scale, tmp_path, capsys):
+        # x2 has singular values 1.13 and 3.1e-3: a forward difference's
+        # truncation error reads 6.3e-4 against the exact derivative here,
+        # the central difference's 3.9e-7
+        x = random_rep(sch_quiver(), {"u": 3, "v": 2}, 25)
+        x = Rep(x.quiver, x.dims, {a: scale * m for a, m in x.mats.items()})
+        map_path, rep_path = tmp_path / "f.json", tmp_path / "x.json"
+        dump(make(), map_path)
+        dump(x, rep_path)
+        capsys.readouterr()
+        assert main(["derive", "--map", str(map_path), "--rep", str(rep_path),
+                     "--seed", "25", "--format", "machine"]) == 0
+        check = json.loads(capsys.readouterr().out.splitlines()[-1])
+        assert check["passed"] and check["residual"] <= 1e-6
 
     def test_derive_of_a_constant_map_passes(self, tmp_path, capsys):
         # derivative and finite difference both vanish: residual 0
