@@ -10,19 +10,20 @@ numerical kernel, or an explicit collision pair constructed from a kernel
 direction), chain/Leibniz rule checks, and the nilpotent-point trick for
 reading off univariate polynomial coefficients.
 
-Block points come from reps.block_points. Given stacked directions at one
-base point, it returns them as one stack, evaluated at once by eval_map: the
-derivative matrix takes its matrix-unit columns in chunks of _CHUNK, each
-chunk one stacked evaluation of all entries in which every distinct inverse
-node is factored once, and a single directional derivative is the stack of one.
-
-Every block point must also reproduce f(X) on its diagonal blocks and vanish
-on its lower-left block. Each of those residuals is a 2-norm over 1 + a
-nonnegative term, so the Frobenius norm of its numerator bounds it from
+directional_derivative evaluates the block point itself (reps.block_points,
+a stack of one, through eval_map): it is the definition the other paths are
+tested against. Every inverse node is held to its threshold on the doubled
+operand, and the block point must reproduce f(X) on its diagonal blocks and
+vanish on its lower-left block. Each of those residuals is a 2-norm over 1 +
+a nonnegative term, so the Frobenius norm of its numerator bounds it from
 above: a point whose three numerators sit within half of BLOCK_TOL passes
 without a singular value decomposition, and only the points that could fail
-take the exact 2-norm residuals. The verdicts and error messages are those
-of the exact residuals alone.
+take the exact 2-norm residuals.
+
+derivative_matrix never builds a block point. Upper-triangular block
+matrices form an algebra, so exprs.eval_tangents computes the corners from
+n×n values and stacked n×n tangents, _CHUNK matrix-unit columns per pass,
+with each inverse node decided once, at X.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlockMismatchError, RegularityError
+from .errors import BlockMismatchError
 from .exprs import (
     P_TAG,
     Q_TAG,
@@ -41,6 +42,7 @@ from .exprs import (
     ProductSpec,
     compose_maps,
     eval_map,
+    eval_tangents,
     pair_rep,
     product_maps,
 )
@@ -59,10 +61,8 @@ from .reps import (NatTrans, Rep, arc_matrices, block_points, direct_sum, random
 
 BLOCK_TOL = 1e-8
 IFT_TOL = 1e-8
-# Matrix-unit columns per stacked evaluation in derivative_matrix. The
-# intermediates grow with the chunk: for the 400 columns of a 12/8 Jacobian,
-# numpy allocations peak at ~30 MB in one chunk and ~5.5 MB in chunks of 32,
-# and no size tried between 8 and 400 was consistently faster than 32.
+# Matrix-unit columns per tangent pass in derivative_matrix: each node's
+# tangent is a (_CHUNK, n, n) stack, so the intermediates grow with the chunk.
 _CHUNK = 32
 # A block point passes its block checks on Frobenius norms alone when the
 # norm of every residual's numerator is at most this share of BLOCK_TOL; the
@@ -148,68 +148,6 @@ def block_extend(x: Rep, h: DirectionField) -> Rep:
     return block_points(x, x, h.h_mats)
 
 
-def _block_derivatives(
-    f: FreeMapDef,
-    x: Rep,
-    fx: Rep,
-    u: dict[str, np.ndarray],
-) -> dict[str, np.ndarray]:
-    """Df(X)[H_b] per target arc, stacked (B, rows, cols), for the directions
-    u (arc -> (B, rows, cols)) at X, one point or a stack of one, read off
-    one stacked evaluation at the block points [[X, H_b], [0, X]].
-
-    Each point is held to the single-point checks: every inverse node's
-    threshold on its doubled operand, and diagonal blocks that reproduce f(X)
-    with a vanishing lower-left block (BlockMismatchError otherwise). A point
-    where ‖tl − f(X)‖_F, ‖br − f(X)‖_F and ‖bl‖_F are all within
-    _SCREEN·BLOCK_TOL passes the latter without a singular value
-    decomposition; every other point (non-finite ones included) takes the
-    exact 2-norm residuals. Errors name the first direction that fails, as
-    taking them one at a time would.
-    """
-    points = block_points(x, x, u)
-    batch = points.size
-    try:
-        big = eval_map(f, points).mats
-    except RegularityError:
-        if batch > 1:
-            for b in range(batch):
-                _block_derivatives(f, x, fx, {a: m[b:b + 1] for a, m in u.items()})
-        raise
-    out = {}
-    worsts = []
-    for a in f.target_quiver.arcs:
-        m, n = fx.dims[a.dst], fx.dims[a.src]
-        z = big[a.name]
-        tl, bl, br = z[:, :m, :n], z[:, m:, :n], z[:, m:, n:]
-        base = fx.mats[a.name]
-        doubt = ~np.all([frob_norms(r) <= _SCREEN * BLOCK_TOL
-                         for r in (tl - base, br - base, bl)], axis=0)
-        w = np.zeros(batch)  # a screened point's residuals are within BLOCK_TOL
-        if doubt.any():
-            zd = z[doubt]
-            # the single-point residuals, maxed in order as Python's max does
-            # (not numerics.worst: a NaN is 0/(1 + norm of an inf block), a pass)
-            wd = rel_diff(zd[:, :m, :n], base)
-            for r in (
-                rel_diff(zd[:, m:, n:], base),
-                rel_residual(op_norms(zd[:, m:, :n]), zd),
-            ):
-                wd = np.where(r > wd, r, wd)
-            w[doubt] = wd
-        worsts.append(w)
-        out[a.name] = z[:, :m, n:]
-    bad = np.array(worsts).reshape(len(worsts), batch) > BLOCK_TOL
-    if bad.any():
-        b = int(np.argmax(bad.any(axis=0)))
-        k = int(np.argmax(bad[:, b]))
-        raise BlockMismatchError(
-            f"block structure broke at arc {f.target_quiver.arcs[k].name!r}: "
-            f"residual {worsts[k][b]:.3e} exceeds {BLOCK_TOL:.1e}"
-        )
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Derivatives
 
@@ -218,13 +156,38 @@ def directional_derivative(
     x: Rep,
     h: DirectionField,
 ) -> DirectionField:
-    """Df(X)[H] read off the block point; the diagonal blocks are asserted to
-    reproduce f(X) and the lower-left to vanish (anything else means the map
-    is not free or the point is effectively irregular)."""
+    """Df(X)[H] read off the block point [[X, H], [0, X]], evaluated as it
+    stands: every inverse node is held to its threshold on the doubled
+    operand, and the diagonal blocks must reproduce f(X) with a vanishing
+    lower-left block (BlockMismatchError otherwise; anything else means the
+    map is not free or the point is effectively irregular). When
+    ‖tl − f(X)‖_F, ‖br − f(X)‖_F and ‖bl‖_F are all within _SCREEN·BLOCK_TOL
+    the point passes without a singular value decomposition; any other point
+    (a non-finite one included) takes the exact 2-norm residuals."""
     fx = eval_map(f, x)
     _check_based_at(x, h)
-    tr = _block_derivatives(f, stack_reps([x]), fx, {a: m[None] for a, m in h.h_mats.items()})
-    return DirectionField(fx, {a: m[0] for a, m in tr.items()})
+    one = stack_reps([x])
+    big = eval_map(f, block_points(one, one, {a: m[None] for a, m in h.h_mats.items()})).mats
+    out, worsts = {}, []
+    for a in f.target_quiver.arcs:
+        m, n = fx.dims[a.dst], fx.dims[a.src]
+        z, base = big[a.name], fx.mats[a.name]
+        tl, bl, br = z[:, :m, :n], z[:, m:, :n], z[:, m:, n:]
+        w = 0.0  # a screened point's residuals are within BLOCK_TOL
+        if not all([frob_norms(r)[0] <= _SCREEN * BLOCK_TOL for r in (tl - base, br - base, bl)]):
+            # maxed in order as Python's max does (not numerics.worst: a NaN
+            # is 0/(1 + norm of an inf block), a pass)
+            w = rel_diff(tl, base)
+            for r in (rel_diff(br, base), rel_residual(op_norms(bl), z)):
+                w = np.where(r > w, r, w)
+            w = w[0]
+        worsts.append((a.name, w))
+        out[a.name] = z[0, :m, n:]
+    for arc, w in worsts:
+        if w > BLOCK_TOL:
+            raise BlockMismatchError(
+                f"block structure broke at arc {arc!r}: residual {w:.3e} exceeds {BLOCK_TOL:.1e}")
+    return DirectionField(fx, out)
 
 
 def shift_rep(x: Rep, h: DirectionField, eps: float) -> Rep:
@@ -287,32 +250,32 @@ class DerivativeMatrix:
 def derivative_matrix(
     f: FreeMapDef, x: Rep
 ) -> DerivativeMatrix:
-    """Assemble Df(X): column j is the directional derivative along the j-th
-    matrix-unit direction. f(X) is evaluated once; the columns go in chunks
-    of _CHUNK, each one stacked evaluation at the chunk's block points in
-    which every distinct inverse node is factored once, with the upper-right
-    blocks read straight into the columns. Each column passes the same
-    checks as directional_derivative, and the matrix is the one that column
-    by column evaluation gives."""
+    """Assemble Df(X): column j is the derivative along the j-th matrix-unit
+    direction. f(X) is evaluated once; the columns go in chunks of _CHUNK,
+    each one exprs.eval_tangents pass, the corners of the block points
+    [[X, E_j], [0, X]] computed in upper-triangular form from n×n products,
+    with every inverse node decided once, at X. LinAlgError when f(X) or the
+    matrix is not finite, where the full-size block checks would refuse it."""
     fx = eval_map(f, x)
     slots, image_slots = direction_slots(x), direction_slots(fx)
     n_rows, n_cols = (sum(r * c for _, r, c, _ in s) for s in (image_slots, slots))
     matrix = np.zeros((n_rows, n_cols), dtype=np.complex128)
+    memo: dict = {}
     for start in range(0, n_cols, _CHUNK):
         stop = min(start + _CHUNK, n_cols)
         batch = stop - start
         units = np.zeros((batch, n_cols), dtype=np.complex128)
         units[np.arange(batch), np.arange(start, stop)] = 1.0
-        u = {
+        u = {  # only the arcs that hold a column of the chunk move
             arc: units[:, offset:offset + rows * cols].reshape(batch, rows, cols)
-            for arc, rows, cols, offset in slots
+            for arc, rows, cols, offset in slots if start < offset + rows * cols and offset < stop
         }
-        tr = _block_derivatives(f, x, fx, u)
-        if n_rows:
-            matrix[:, start:stop] = np.concatenate(
-                [tr[a].reshape(batch, rows * cols) for a, rows, cols, _ in image_slots],
-                axis=1,
-            ).T
+        tr = eval_tangents(f, x, u, memo)
+        for arc, rows, cols, offset in image_slots:
+            if tr[arc] is not None:
+                matrix[offset:offset + rows * cols, start:stop] = tr[arc].reshape(batch, -1).T
+    if not all(np.isfinite(m).all() for m in (matrix, *fx.mats.values())):
+        raise np.linalg.LinAlgError("f(X) or Df(X) is not finite")
     return DerivativeMatrix(matrix, x, fx)
 
 
@@ -349,6 +312,10 @@ def ift_certificate(f: FreeMapDef, x: Rep, tol: float = IFT_TOL) -> IFTCertifica
     Df(X) that is not wide is decided from its singular values alone, and H
     of a collision comes from a least-squares projection onto its kernel;
     only a wide Df(X) takes its singular vectors.
+
+    Df(X) comes from derivative_matrix, whose inverse nodes are decided at
+    X, while rep1 is evaluated at full size: where a doubled operand falls
+    below the regularity threshold, a collision raises RegularityError.
     """
     dm = derivative_matrix(f, x)
     s, null = values_first_kernel(dm.matrix, tol) or kernel(dm.matrix, tol)

@@ -12,8 +12,7 @@ the number of profiles) run as one stack, a Rep with a size: every trial
 draws its own points from its own seed, eval_map evaluates the stack at once
 as it does one point, and the outcomes are recorded in trial order, bit for
 bit those of the trials run one by one. A stack that raises RegularityError
-or BlockMismatchError runs again as stacks of one. lemma_part1 runs trial by
-trial.
+runs again as stacks of one. lemma_part1 runs trial by trial.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .calculus import ift_certificate
-from .errors import BlockMismatchError, RegularityError
+from .errors import RegularityError
 from .exprs import FreeMapDef, MapLike, eval_map
 from .numerics import worst
 from .quivers import Quiver
@@ -240,11 +239,11 @@ def _lemma_part1(f: MapLike, q: Quiver, x: Rep, seed: int) -> float | None:
 
 def _residuals(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
                seeds: Sequence[int]) -> list[float | None]:
-    """_run_stack, and on RegularityError or BlockMismatchError again as stacks
-    of one, so that exactly the trials that raise on their own are skipped."""
+    """_run_stack, and on RegularityError again as stacks of one, so that
+    exactly the trials that raise on their own are skipped."""
     try:
         return _run_stack(f, q, check, profile, seeds)
-    except (RegularityError, BlockMismatchError):
+    except RegularityError:
         if len(seeds) == 1:
             return [None]
         return [r for seed in seeds for r in _residuals(f, q, check, profile, [seed])]
@@ -255,8 +254,8 @@ def run_conformance(f: MapLike, plan: TrialPlan,
     """Run every planned check for every trial, profile by profile in
     stacks, and fold the outcomes in trial order.
 
-    Points where an inverse fails or a certificate's blocks break (no
-    evidence), or where a check is not applicable, are counted as skipped,
+    Points where an inverse fails or a certificate gives no evidence, or
+    where a check is not applicable, are counted as skipped,
     never silently dropped; failures record the seed that reproduces them.
     """
     q = f.source_quiver if isinstance(f, FreeMapDef) else source_quiver

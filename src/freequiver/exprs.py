@@ -400,6 +400,59 @@ def _inverse(m: np.ndarray, ok) -> np.ndarray:
     return m.copy() if m.shape[-1] == 0 else np.linalg.inv(m)
 
 
+def eval_tangents(f: "FreeMapDef", x: Rep, u: Mapping[str, np.ndarray],
+                  memo: dict) -> dict[str, np.ndarray | None]:
+    """Df(X)[H_b] per entry, stacked (B, rows, cols), for the directions u
+    (arc -> (B, rows, cols)) at the single point X; an arc missing from u
+    does not move, and an entry that no direction moves gives None.
+
+    Upper-triangular block matrices form an algebra: the corner of
+    [[A, A′], [0, A]]·[[C, C′], [0, C]] is A′C + AC′, and that of
+    [[A, A′], [0, A]]⁻¹ is −A⁻¹A′A⁻¹. So one walk of n×n values and stacked
+    n×n tangents gives the corners of f at every block point [[X, H_b], [0, X]].
+    Values fold as _eval folds them; each inverse node is decided at X by
+    eval_expr's rule through memo, which calls at the same X may share."""
+    tangents: dict = {}
+    return {r: _tangent(e, (x, u, r, memo, tangents))[1] for r, e in f.entries.items()}
+
+
+def _tangent(e: Expr, args: tuple) -> tuple[np.ndarray, np.ndarray | None]:
+    """eval_tangents' walk: e's value at X and its tangent stack (None when
+    no direction moves it). args is (x, u, entry, memo, tangents), where
+    tangents maps inverse nodes to their value and tangent in this pass."""
+    x, u, entry, memo, tangents = args
+    match e:
+        case Atom(arc):
+            return x.mats[arc], u.get(arc)
+        case Id(vertex):
+            return np.eye(x.dims[vertex], dtype=np.complex128), None
+        case Add(terms):
+            pairs = [_tangent(t, args) for t in terms]
+            return reduce(lambda a, b: a + b, [v for v, _ in pairs]), _total(d for _, d in pairs)
+        case Scale(k, of):
+            v, d = _tangent(of, args)
+            return k * v, None if d is None else k * d
+        case Mul(factors):
+            value, d = _tangent(factors[0], args)
+            for g in factors[1:]:
+                v, dg = _tangent(g, args)  # (P·G)′ = P′G + PG′
+                d = _total((None if d is None else d @ v, None if dg is None else value @ dg))
+                value = value @ v
+            return value, d
+        case Inv(of):
+            if e not in tangents:
+                value, d = _eval(e, x, entry, memo), _tangent(of, args)[1]
+                tangents[e] = value, None if d is None else -(value @ d @ value)
+            return tangents[e]
+    raise TypeError(f"not an expression: {e!r}")
+
+
+def _total(terms: Iterable[np.ndarray | None]) -> np.ndarray | None:
+    """The sum of the terms that are not None; None when all are."""
+    terms = [t for t in terms if t is not None]
+    return reduce(lambda a, b: a + b, terms) if terms else None
+
+
 # ---------------------------------------------------------------------------
 # Free map definitions
 

@@ -440,8 +440,31 @@ class TestStackedJacobian:
         vs = f.source_quiver.vertices
         dims = {vs[0]: nu} if len(vs) == 1 else {vs[0]: nu, vs[1]: nv}
         x = random_rep(f.source_quiver, dims, 50 + nu + nv)
-        dm = derivative_matrix(f, x)
-        assert np.array_equal(dm.matrix, column_by_column(f, x))
+        got, want = derivative_matrix(f, x).matrix, column_by_column(f, x)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * max(1.0, np.abs(want).max(initial=0.0))
+
+    @pytest.mark.parametrize("name", ["schur", "ppt_D"])
+    def test_ill_conditioned_inverse_matches_closed_form(self, name):
+        # κ(x2) = 1e6: the doubled operand [[x2, E], [0, x2]] of a column
+        # that moves x2 falls below the regularity threshold, but x2 itself
+        # passes it, and each inverse node is decided at X
+        make, closed_form = CLOSED_FORMS[name]
+        f = make()
+        for seed in range(20):
+            x = random_sch(seed)
+            rng = np.random.default_rng(seed)
+            u, v = (np.linalg.qr(_cplx(rng, 2, 2))[0] for _ in range(2))
+            x.mats["x2"] = (u * np.array([1.0, 1e-6])) @ v
+            with pytest.raises(RegularityError):
+                directional_derivative(f, x, matrix_unit_direction(x, "x2", 0, 0))
+            fx = eval_map(f, x)
+            want = np.stack([
+                flatten_direction(DirectionField(fx, closed_form(x, matrix_unit_direction(x, arc, i, j))))
+                for arc, rows, cols, _ in direction_slots(x) for i in range(rows) for j in range(cols)
+            ], axis=1)
+            got = derivative_matrix(f, x).matrix
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_singular_point_names_the_inverse(self):
         f = catalog.schur_map()
@@ -452,20 +475,22 @@ class TestStackedJacobian:
                 fn(f, x)
             assert err.value.node == "x2^-1"
 
-    def test_irregular_block_point_named_as_column_by_column(self):
-        # y^-1 precedes x^-1 in traversal, but the first column moves x:
+    def test_irregular_block_point_still_has_a_jacobian(self):
         # the block points [[aI, E], [0, aI]] have sigma ratio ~a^2, so every
-        # column fails at the inverse of the arc it moves
+        # directional derivative fails at the inverse of the arc it moves,
+        # while derivative_matrix decides x^-1 and y^-1 at X = aI, where they
+        # pass, and returns the columns -X^-1 E X^-1
         q = classical_embed(2)
         f = FreeMapDef(q, q, {"x": inv(Atom("y")), "y": inv(Atom("x"))})
         x = Rep(q, {"u": 2}, {"x": 1e-6 * np.eye(2), "y": 1e-6 * np.eye(2)})
-        eval_map(f, x)
-        with pytest.raises(RegularityError) as stacked:
-            derivative_matrix(f, x)
-        with pytest.raises(RegularityError) as first:
-            directional_derivative(f, x, matrix_unit_direction(x, "x", 0, 0))
-        assert str(stacked.value) == str(first.value)
-        assert stacked.value.node == "x^-1"
+        for arc in ("x", "y"):
+            with pytest.raises(RegularityError) as err:
+                directional_derivative(f, x, matrix_unit_direction(x, arc, 0, 0))
+            assert err.value.node == f"{arc}^-1"
+        moved = -1e12 * np.eye(4)
+        want = np.block([[np.zeros((4, 4)), moved], [moved, np.zeros((4, 4))]])
+        got = derivative_matrix(f, x).matrix
+        assert np.abs(got - want).max() <= 1e-12 * 1e12
 
     def test_stacked_residuals_match_single_matrices(self):
         rng = np.random.default_rng(53)
@@ -483,10 +508,15 @@ class TestStackedJacobian:
         x = random_sch(52)
         monkeypatch.setattr(calculus, "BLOCK_TOL", -1.0)
         with pytest.raises(BlockMismatchError) as stacked:
-            derivative_matrix(f, x)
+            column_by_column(f, x)
         with pytest.raises(BlockMismatchError) as first:
             directional_derivative(f, x, matrix_unit_direction(x, "x1", 0, 0))
         assert str(stacked.value) == str(first.value)
+        for arc, rows, cols, _ in direction_slots(x):
+            for i in range(rows):
+                for j in range(cols):
+                    with pytest.raises(BlockMismatchError):
+                        directional_derivative(f, x, matrix_unit_direction(x, arc, i, j))
 
     def test_unscreened_columns_decided_as_column_by_column(self, monkeypatch):
         # BLOCK_TOL is set around the exact per-column residuals, taken here
@@ -516,17 +546,23 @@ class TestStackedJacobian:
                     residuals.append((h, worst))
         values = [r for _, r in residuals]
         assert min(values) > 0
-        want = derivative_matrix(f, x).matrix
+        want = column_by_column(f, x)
         monkeypatch.setattr(calculus, "BLOCK_TOL", max(values))
-        assert np.array_equal(derivative_matrix(f, x).matrix, want)
+        assert np.array_equal(column_by_column(f, x), want)
         tol = float(np.nextafter(np.median(values), 0.0))
         monkeypatch.setattr(calculus, "BLOCK_TOL", tol)
         first = next(h for h, r in residuals if r > tol)
         with pytest.raises(BlockMismatchError) as stacked:
-            derivative_matrix(f, x)
+            column_by_column(f, x)
         with pytest.raises(BlockMismatchError) as single:
             directional_derivative(f, x, first)
         assert str(stacked.value) == str(single.value)
+        for h, r in residuals:
+            if r > tol:
+                with pytest.raises(BlockMismatchError):
+                    directional_derivative(f, x, h)
+            else:
+                directional_derivative(f, x, h)
 
     def test_overflowing_point_raises_linalg_error(self):
         # x^3 at 1e120 overflows to inf: no column can pass the screen, and
@@ -606,7 +642,7 @@ class TestBlockCheckScreen:
             [np.concatenate([tl, tr], axis=2), np.concatenate([bl, br], axis=2)],
             axis=1,
         )
-        # the Frobenius norms of the numerators, which _block_derivatives screens
+        # the Frobenius norms of the numerators, which directional_derivative screens
         bounds = (frob_norms(tl - base), frob_norms(br - base), frob_norms(bl))
         exact = (
             rel_diff(tl, base),
@@ -628,7 +664,7 @@ class TestBlockCheckScreen:
 
         def outcome(f, x):
             try:
-                return derivative_matrix(f, x).matrix
+                return column_by_column(f, x)
             except BlockMismatchError as e:
                 return str(e)
 

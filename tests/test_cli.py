@@ -481,7 +481,7 @@ class TestExitCodes:
 
     def test_block_mismatch_exits_3(self, schur_file, capsys, monkeypatch):
         monkeypatch.setattr(calculus, "BLOCK_TOL", -1.0)
-        code = main(["certify", "--map", schur_file, "--dims", "u=3,v=2",
+        code = main(["derive", "--map", schur_file, "--dims", "u=3,v=2",
                      "--seed", "1"])
         assert code == 3
         err = capsys.readouterr().err
@@ -561,8 +561,9 @@ class TestExitCodes:
         assert done.stderr.count("\n") == 1
 
     def test_broken_block_structure_keeps_the_report(self, schur_file, capsys, monkeypatch):
-        # lemma_part1's certificate raises BlockMismatchError at every X ⊕ Y:
-        # those cells are skipped, and the other checks still run
+        # check-free reads no block check, so failing them all leaves the
+        # report whole; lemma_part1 skips at every X ⊕ Y because schur's
+        # Jacobian is wide, which is no injectivity evidence
         monkeypatch.setattr(calculus, "BLOCK_TOL", -1.0)
         code = main(["check-free", "--map", schur_file, "--dims", "u=3,v=2", "--seed", "1",
                      "--trials", "4"])

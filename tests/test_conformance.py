@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from freequiver import calculus, conformance
+from freequiver import conformance
 from freequiver.catalog import block_inverse_map, exp_truncated, ppt_map, sch_quiver, schur_map
 from freequiver.conformance import (
     CHECK_NAMES,
@@ -300,34 +300,6 @@ class TestIntertwineBasis:
             s = run_conformance(f, plan).stats["intertwine"]
             assert (s.executed, s.skipped) == ((0, 4) if u == v == 0 else (4, 0))
             assert s.failures == 0
-
-
-class TestBrokenBlocksSkip:
-    """A BlockMismatchError in lemma_part1's certificate at X ⊕ Y is no
-    injectivity evidence: the cell is skipped and the report survives."""
-
-    PLAN = dict(master_seed=1, trials=4, dim_profiles=[{"u": 3, "v": 2}, {"u": 6, "v": 4}])
-
-    def test_broken_blocks_keep_the_report(self, monkeypatch):
-        monkeypatch.setattr(calculus, "BLOCK_TOL", -1.0)
-        f = ppt_map("pivot_D")
-        report = run_conformance(f, TrialPlan(**self.PLAN))
-        lemma = report.stats["lemma_part1"]
-        assert (lemma.executed, lemma.skipped) == (0, 4)
-        similarity = report.stats["similarity"]
-        assert (similarity.executed, similarity.passes) == (4, 4)
-        without = run_conformance(
-            f, TrialPlan(**self.PLAN, checks=("direct_sum", "similarity", "intertwine")),
-        )
-        for name in without.plan.checks:
-            assert report.stats[name].as_dict() == without.stats[name].as_dict()
-
-    def test_every_block_check_failing_skips_only_the_lemma(self, monkeypatch):
-        monkeypatch.setattr(calculus, "BLOCK_TOL", -1.0)
-        report = run_conformance(identity_map(sch_quiver()), TrialPlan(**self.PLAN))
-        assert report.stats["lemma_part1"].skipped == 4
-        for name in ("direct_sum", "similarity", "intertwine"):
-            assert report.stats[name].executed == report.stats[name].passes == 4
 
 
 def _stacks_of_one(monkeypatch):

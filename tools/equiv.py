@@ -60,7 +60,8 @@ The corpus:
   --quick takes about as long as with one trial per stack;
 * block tolerance: with calculus.BLOCK_TOL patched to -1 and to 1e-15, the
   calculus outputs at one random point per profile and the conformance
-  records, which then carry BlockMismatchError messages.
+  records; directional_derivative, the one path with block checks, then
+  carries BlockMismatchError messages.
 
 --quick keeps one seed and one round of the benchmark tasks and one demo
 seed; the regularity corpus is always whole. Bits depend on the machine and
@@ -332,9 +333,10 @@ def calculus_records():
 
 def block_tol_records():
     """The calculus outputs at one random point and run_conformance, with the
-    block-trick tolerance calculus.BLOCK_TOL patched: every block check then
-    fails (-1) or holds its exact residuals to 1e-15, so the records carry
-    BlockMismatchError messages and the residuals they print."""
+    block-trick tolerance calculus.BLOCK_TOL patched: every block check of
+    directional_derivative then fails (-1) or holds its exact residuals to
+    1e-15, so its records carry BlockMismatchError messages and the
+    residuals they print."""
     import freequiver as fq
     from freequiver import calculus
 
