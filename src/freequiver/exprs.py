@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Iterator, Mapping, Union
 import numpy as np
 
 from .errors import RegularityError, TypecheckError
-from .numerics import certified_inverse, inverse_rule, pinv
+from .numerics import _EPS, CANCELLATION_TOL, certified_inverse, inverse_rule, pinv
 from .quivers import (
     Path,
     Quiver,
@@ -411,40 +411,59 @@ def eval_tangents(f: "FreeMapDef", x: Rep, u: Mapping[str, np.ndarray],
     [[A, A′], [0, A]]⁻¹ is −A⁻¹A′A⁻¹. So one walk of n×n values and stacked
     n×n tangents gives the corners of f at every block point [[X, H_b], [0, X]].
     Values fold as _eval folds them; each inverse node is decided at X by
-    eval_expr's rule through memo, which calls at the same X may share."""
+    eval_expr's rule through memo, so calls at the same X that share it (one
+    per source arc in derivative_matrix) decide each node once.
+    Each value's relative rounding error is estimated from its largest moduli:
+    a sum's is its terms' over the sum, a product's its factors' plus ε, an
+    inverse's κε, κ = |operand|·|inverse|. An inverse whose operand's error
+    times κ exceeds CANCELLATION_TOL has lost those digits to cancellation,
+    which its singular values do not show, and raises RegularityError."""
     tangents: dict = {}
-    return {r: _tangent(e, (x, u, r, memo, tangents))[1] for r, e in f.entries.items()}
+    return {r: _tangent(e, (x, u, r, memo, tangents))[2] for r, e in f.entries.items()}
 
 
-def _tangent(e: Expr, args: tuple) -> tuple[np.ndarray, np.ndarray | None]:
-    """eval_tangents' walk: e's value at X and its tangent stack (None when
-    no direction moves it). args is (x, u, entry, memo, tangents), where
-    tangents maps inverse nodes to their value and tangent in this pass."""
+def _tangent(e: Expr, args: tuple) -> tuple[np.ndarray, float, np.ndarray | None]:
+    """eval_tangents' walk: e's value at X, its estimated relative error and
+    its tangent stack (None when no direction moves it). args is (x, u, entry,
+    memo, tangents), tangents mapping inverse nodes to those in this pass."""
     x, u, entry, memo, tangents = args
     match e:
         case Atom(arc):
-            return x.mats[arc], u.get(arc)
+            return x.mats[arc], 0.0, u.get(arc)
         case Id(vertex):
-            return np.eye(x.dims[vertex], dtype=np.complex128), None
+            return np.eye(x.dims[vertex], dtype=np.complex128), 0.0, None
         case Add(terms):
-            pairs = [_tangent(t, args) for t in terms]
-            return reduce(lambda a, b: a + b, [v for v, _ in pairs]), _total(d for _, d in pairs)
+            parts = [_tangent(t, args) for t in terms]
+            value = reduce(lambda a, b: a + b, [v for v, _, _ in parts])
+            err = sum(_peak(v) * (r + _EPS) for v, r, _ in parts)
+            return value, err / top if (top := _peak(value)) else 0.0, _total(d for _, _, d in parts)
         case Scale(k, of):
-            v, d = _tangent(of, args)
-            return k * v, None if d is None else k * d
+            v, r, d = _tangent(of, args)
+            return k * v, r + _EPS, None if d is None else k * d
         case Mul(factors):
-            value, d = _tangent(factors[0], args)
+            value, r, d = _tangent(factors[0], args)
             for g in factors[1:]:
-                v, dg = _tangent(g, args)  # (P·G)′ = P′G + PG′
+                v, rg, dg = _tangent(g, args)  # (P·G)′ = P′G + PG′
                 d = _total((None if d is None else d @ v, None if dg is None else value @ dg))
-                value = value @ v
-            return value, d
+                value, r = value @ v, r + rg + _EPS
+            return value, r, d
         case Inv(of):
             if e not in tangents:
-                value, d = _eval(e, x, entry, memo), _tangent(of, args)[1]
-                tangents[e] = value, None if d is None else -(value @ d @ value)
+                value, (a, r, d) = _eval(e, x, entry, memo), _tangent(of, args)
+                kappa = _peak(a) * _peak(value)
+                if kappa * r > CANCELLATION_TOL:
+                    node = render_expr(e)
+                    raise RegularityError(
+                        f"operand cancellation leaves {kappa * r:.1e} relative error at {node}"
+                        + (f" (entry {entry!r})" if entry else ""), node=node, entry=entry)
+                tangents[e] = value, kappa * _EPS, None if d is None else -(value @ d @ value)
             return tangents[e]
     raise TypeError(f"not an expression: {e!r}")
+
+
+def _peak(m: np.ndarray) -> float:
+    """The largest modulus of m's entries, 0.0 for an empty m."""
+    return float(np.abs(m).max(initial=0.0))
 
 
 def _total(terms: Iterable[np.ndarray | None]) -> np.ndarray | None:

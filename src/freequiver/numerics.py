@@ -17,7 +17,8 @@ one place:
   (inverse_rule). A
   residual-certified bound on a square operand's computed inverse may pass a
   clearly regular one; any operand that could fail is decided by its singular
-  values;
+  values. exprs.eval_tangents also refuses one whose operand's estimated
+  cancellation error, times its condition, exceeds CANCELLATION_TOL;
 * LAPACK's SVD is called here only, and one rank rule holds: the rank
   counts the singular values above rtol * sigma_max (nullspace takes
   rtol = max(shape) * eps * 10). A Jacobian that is not wide takes values
@@ -41,6 +42,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-9
 INVERTIBILITY_RTOL = 1e-10
+CANCELLATION_TOL = 1e-8  # relative error exprs.eval_tangents allows an inverse's value
 
 _EPS = float(np.finfo(np.float64).eps)
 # certified_inverse's margins: residual bound, share of 1/INVERTIBILITY_RTOL

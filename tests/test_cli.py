@@ -23,7 +23,7 @@ from freequiver.catalog import (
     smw_quiver,
 )
 from freequiver.cli import FD_EPS, main, parse_dims, parse_poly
-from freequiver.errors import ParseError, TypecheckError
+from freequiver.errors import BlockMismatchError, ParseError, TypecheckError
 from freequiver.exprs import Atom, FreeMapDef, Id, ProductSpec, eval_map, mul
 from freequiver.quivers import Quiver, classical_embed
 from freequiver.reps import Rep, random_rep
@@ -561,10 +561,15 @@ class TestExitCodes:
         assert done.stderr.count("\n") == 1
 
     def test_broken_block_structure_keeps_the_report(self, schur_file, capsys, monkeypatch):
-        # check-free reads no block check, so failing them all leaves the
-        # report whole; lemma_part1 skips at every X ⊕ Y because schur's
-        # Jacobian is wide, which is no injectivity evidence
-        monkeypatch.setattr(calculus, "BLOCK_TOL", -1.0)
+        # check-free evaluates no block point, so a directional derivative
+        # that always breaks leaves the report whole; lemma_part1 skips at
+        # every X ⊕ Y because schur's Jacobian is wide, which is no
+        # injectivity evidence
+        def broken(*args):
+            raise BlockMismatchError("block structure broke")
+
+        for module in (calculus, cli):
+            monkeypatch.setattr(module, "directional_derivative", broken)
         code = main(["check-free", "--map", schur_file, "--dims", "u=3,v=2", "--seed", "1",
                      "--trials", "4"])
         assert code == 0
