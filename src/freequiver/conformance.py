@@ -1,8 +1,8 @@
 """Randomized conformance harness for freeness.
 
 Seeded trials check that a map respects direct sums and conjugation by
-natural automorphisms, that it pushes intertwiners x → x ⊕ x forward (a
-basis of End(x) ⊕ End(x), solved for as End(x)), and — at points where
+natural automorphisms, that it pushes intertwiners x → x ⊕ x forward (at
+points built to have intertwiners other than scalars), and — at points where
 the derivative certificate reports full rank — that it also reflects them
 (every intertwiner of the images comes from an intertwiner of the inputs).
 Every trial is reproducible from (master_seed, trial_index, check_name) alone.
@@ -29,9 +29,7 @@ from .exprs import FreeMapDef, MapLike, eval_map
 from .numerics import worst
 from .quivers import Quiver
 from .reps import (
-    NatTrans,
     Rep,
-    check_nat_trans,
     conjugate,
     direct_sum,
     intertwiner_space,
@@ -164,6 +162,8 @@ def _run_stack(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
     """The trials of one check at one dimension profile, one per seed, as one
     stack: each draws its points from its own seed and the stack is evaluated
     at once. Returns each trial's residual, or None to skip it."""
+    if check == "intertwine":
+        return _intertwine(f, q, profile, seeds)
     xs = [random_rep(q, profile, _hash_seed(f"{seed}:x")) for seed in seeds]
     if check == "lemma_part1":
         return [_lemma_part1(f, q, p, seed) for p, seed in zip(xs, seeds)]
@@ -181,35 +181,38 @@ def _run_stack(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
         fs = {w: s[_image_vertex(f, w)] for w in fx.quiver.vertices}
         return rep_residual(left, conjugate(fx, fs))
 
-    if check == "intertwine":
-        ends = intertwiner_space(x, x)
-        # a point with no End(x) skips before f is evaluated, as it does alone
-        kept = [b for b, basis in enumerate(ends) if basis]
-        out: list[float | None] = [None] * len(seeds)
-        if not kept:
-            return out
-        x = stack_reps([xs[b] for b in kept])
-        f_big, f_x = _images(f, direct_sum(x, x)), _images(f, x)
-        # Hom(x, x ⊕ x) = End(x) ⊕ End(x): [G; 0], [0; G] span it orthonormally.
-        # Items 2j and 2j + 1 take the j-th G of the kept points in order, and
-        # owner[i] is the kept point of item i.
-        owner = np.repeat([k for k, b in enumerate(kept) for _ in ends[b]], 2)
-        pushed = {}
-        for v in q.vertices:
-            g = np.stack([gamma[v] for b in kept for gamma in ends[b]])
-            n = g.shape[-1]
-            items = np.zeros((len(g), 2, 2 * n, n), dtype=np.complex128)
-            items[:, 0, :n], items[:, 1, n:] = g, g
-            pushed[v] = items.reshape(2 * len(g), 2 * n, n)
-        per_arc = nat_trans_residuals(
-            *(Rep(r.quiver, r.dims, {a: m[owner] for a, m in r.mats.items()}, len(owner))
-              for r in (f_big, f_x)),
-            {w: pushed[_image_vertex(f, w)] for w in f_x.quiver.vertices})
-        for k, b in enumerate(kept):
-            out[b] = worst(r[i] for r in per_arc.values() for i in np.flatnonzero(owner == k))
-        return out
-
     raise ValueError(f"unknown check: {check!r}")
+
+
+def _intertwine(f: MapLike, q: Quiver, profile: Mapping[str, int],
+                seeds: Sequence[int]) -> list[float | None]:
+    """The intertwine trials. A point x = U⁻¹(z ⊕ z ⊕ w)U, with z at dims
+    h = n // 2, w at dims n − 2h and U unitary (a Ginibre QR's Q, so κ(U) = 1),
+    has End(x) ⊇ U⁻¹(M₂(ℂ) ⊗ I_h ⊕ ℂ·I)U, not only the scalars. Each trial
+    pushes one Γ = [G1; G2] : x → x ⊕ x, with G1 and G2 independent random
+    elements of it. Only a point without a dimension skips, unevaluated."""
+    if not any(profile[v] for v in q.vertices):
+        return [None] * len(seeds)
+    size, h = len(seeds), {v: profile[v] // 2 for v in q.vertices}
+    z, w = (stack_reps([random_rep(q, dims, _hash_seed(f"{seed}:{role}")) for seed in seeds])
+            for role, dims in (("z", h), ("w", {v: profile[v] - 2 * h[v] for v in q.vertices})))
+    rngs = [np.random.Generator(np.random.PCG64(_hash_seed(f"{seed}:u"))) for seed in seeds]
+    # the ":u" stream: U's Ginibre matrices, then G1's and G2's 2×2 block and scalar
+    *ginibre, coeffs = (np.stack([r.standard_normal(s) + 1j * r.standard_normal(s) for r in rngs])
+                        for s in [(profile[v],) * 2 for v in q.vertices] + [(2, 5)])
+    u = {v: np.linalg.qr(g)[0] for v, g in zip(q.vertices, ginibre)}
+    gammas = {}
+    for v in q.vertices:
+        n, k = profile[v], 2 * h[v]
+        g = np.zeros((size, 2, n, n), dtype=np.complex128)
+        g[..., :k, :k] = np.kron(coeffs[..., :4].reshape(size, 2, 2, 2), np.eye(h[v]))
+        g[..., k:, k:] = coeffs[..., 4:, None] * np.eye(n - k)
+        gammas[v] = np.linalg.solve(u[v][:, None], g @ u[v][:, None]).reshape(size, 2 * n, n)
+    x = conjugate(direct_sum(direct_sum(z, z), w), u)
+    f_x = _images(f, x)
+    per_arc = nat_trans_residuals(_images(f, direct_sum(x, x)), f_x,
+                                  {v: gammas[_image_vertex(f, v)] for v in f_x.quiver.vertices})
+    return [worst(r[b] for r in per_arc.values()) for b in range(size)]
 
 
 def _lemma_part1(f: MapLike, q: Quiver, x: Rep, seed: int) -> float | None:
@@ -229,12 +232,8 @@ def _lemma_part1(f: MapLike, q: Quiver, x: Rep, seed: int) -> float | None:
     basis = intertwiner_space(fx, fy)
     if not basis:
         return None
-    return worst(
-        check_nat_trans(
-            NatTrans(y, x, {w: gamma.gammas[inverse_vmap[w]] for w in q.vertices})
-        ).max_residual
-        for gamma in basis
-    )
+    return worst(r for gamma in basis for r in nat_trans_residuals(
+        x, y, {v: gamma.gammas[inverse_vmap[v]] for v in q.vertices}).values())
 
 
 def _residuals(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],

@@ -85,13 +85,14 @@ def joint_frob_norm(mats) -> float:
 def frob_norms(m) -> np.ndarray:
     """Frobenius norms of matrices stacked (..., rows, cols); 0.0 where an
     axis is empty. Each matrix is scaled by the power of two at its largest
-    modulus, which rounds nothing, so its squares neither overflow nor
-    underflow."""
+    modulus, in two steps as 2**-e overflows at a subnormal one: that rounds
+    nothing, so its squares neither overflow nor underflow."""
     a = np.asarray(m)
     if a.shape[-2] == 0 or a.shape[-1] == 0:
         return np.zeros(a.shape[:-2])
     _, e = np.frexp(np.abs(a).max(axis=(-2, -1)))
-    scaled = a * np.ldexp(1.0, -e)[..., None, None]
+    first = np.maximum(e, -1021)  # all of the scale at a normal maximum
+    scaled = a * np.ldexp(1.0, -first)[..., None, None] * np.ldexp(1.0, first - e)[..., None, None]
     if a.ndim == 2:  # numpy's one-matrix sum, the bits frob_norm always gave
         return np.ldexp(np.linalg.norm(scaled), e)
     return np.ldexp(np.linalg.norm(scaled, axis=(-2, -1)), e)

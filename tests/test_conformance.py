@@ -2,7 +2,6 @@
 accounting, determinism, and the transpose negative control."""
 
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,7 +27,7 @@ from freequiver.exprs import (
     sub,
 )
 from freequiver.quivers import classical_embed
-from freequiver.reps import Rep, direct_sum, intertwiner_space, random_rep
+from freequiver.reps import NatTrans, Rep, check_nat_trans, direct_sum
 
 
 def transpose_hook(x):
@@ -236,61 +235,78 @@ class TestRunConformance:
             assert report.stats[name].executed > 0
 
 
-# the dimension profiles of the intertwine check's basis tests: zero
-# dimensions, one-by-one and the benchmark's largest size
+# the dimension profiles of the intertwine check's tests: zero dimensions,
+# one-by-one and the benchmark's largest size
 INTERTWINE_PROFILES = [(0, 2), (3, 0), (0, 0), (1, 1), (2, 3), (6, 4)]
 
 
-def _stacked(nat_transes):
-    """Rows: each transformation's matrices, vertex by vertex, row-major."""
-    q = sch_quiver()
-    return np.array([np.concatenate([g.gammas[v].ravel() for v in q.vertices])
-                     for g in nat_transes])
+def entrywise_square(x):
+    """Squares every matrix entry: not free, though it respects direct sums."""
+    return Rep(x.quiver, dict(x.dims), {a: m * m for a, m in x.mats.items()})
+
+
+def _is_scalar(g):
+    n = len(g)
+    return np.allclose(g, np.trace(g) / n * np.eye(n), atol=1e-9 * np.linalg.norm(g))
 
 
 class TestIntertwineBasis:
-    """The intertwine check takes Hom(x, x ⊕ x) as End(x) ⊕ End(x)."""
+    """The intertwine check pushes one Γ = [G1; G2] : x → x ⊕ x per trial,
+    with x = Uᴴ(z ⊕ z ⊕ w)U and G1, G2 drawn from Uᴴ(M₂(ℂ) ⊗ I ⊕ ℂ·I)U."""
 
-    def _checked(self, monkeypatch, x):
-        """The transformations the intertwine check tests at the point x, run
-        as a stack of one under the identity map (which pushes them forward
-        unchanged), one by one."""
+    def _pushed(self, monkeypatch, profile, seeds=(5, 6, 7)):
+        """The intertwine check's residuals at profile under the identity map
+        (which pushes Γ forward unchanged), with per point (x ⊕ x, x, Γ) as
+        nat_trans_residuals saw them."""
         seen, nat_trans_residuals = [], conformance.nat_trans_residuals
 
         def record(to_rep, from_rep, gammas):
-            stacked = len(next(iter(gammas.values())))
-            seen.extend(SimpleNamespace(gammas={v: m[i] for v, m in gammas.items()})
-                        for i in range(stacked))
+            seen.extend(tuple({a: m[b] for a, m in r.mats.items()} for r in (to_rep, from_rep))
+                        + ({v: m[b] for v, m in gammas.items()},) for b in range(len(seeds)))
             return nat_trans_residuals(to_rep, from_rep, gammas)
 
         monkeypatch.setattr(conformance, "nat_trans_residuals", record)
-        monkeypatch.setattr(conformance, "random_rep", lambda q, dims, seed: x)
-        (residual,) = conformance._run_stack(identity_map(x.quiver), x.quiver, "intertwine",
-                                             dict(x.dims), [5])
-        return residual, seen
-
-    def _points(self):
         q = sch_quiver()
-        for u, v in INTERTWINE_PROFILES:
-            yield random_rep(q, {"u": u, "v": v}, 41)
-        z = random_rep(q, {"u": 1, "v": 1}, 42)
-        yield direct_sum(z, z)  # End(z ⊕ z) is 2×2 matrices over End(z) = C
+        residuals = conformance._run_stack(identity_map(q), q, "intertwine", profile, seeds)
+        return residuals, seen
 
-    @pytest.mark.parametrize("point", range(len(INTERTWINE_PROFILES) + 1))
-    def test_embedded_basis_spans_hom_into_the_double(self, monkeypatch, point):
-        x = list(self._points())[point]
-        hom = intertwiner_space(direct_sum(x, x), x)
-        residual, seen = self._checked(monkeypatch, x)
-        if not hom:
-            assert residual is None and seen == []
+    @pytest.mark.parametrize("u, v", INTERTWINE_PROFILES)
+    def test_pushed_gamma_lies_in_hom_into_the_double(self, monkeypatch, u, v):
+        q, profile = sch_quiver(), {"u": u, "v": v}
+        residuals, seen = self._pushed(monkeypatch, profile)
+        if u == v == 0:
+            assert residuals == [None] * 3 and seen == []
             return
-        assert len(seen) == len(hom) == 2 * len(intertwiner_space(x, x))
-        if point == len(INTERTWINE_PROFILES):
-            assert len(seen) == 8
-        got, want = _stacked(seen), _stacked(hom)
-        assert np.allclose(got @ got.conj().T, np.eye(len(seen)), atol=1e-12)
-        assert np.allclose(got.conj().T @ got, want.conj().T @ want, atol=1e-12)
-        assert residual <= 1e-12
+        assert len(seen) == 3 and max(residuals) <= 1e-12
+        for big, mats, gammas in seen:
+            x = Rep(q, profile, mats)
+            assert all(np.array_equal(big[a], m) for a, m in direct_sum(x, x).mats.items())
+            assert check_nat_trans(NatTrans(x, direct_sum(x, x), gammas)).max_residual <= 1e-12
+            g1 = {w: g[:profile[w]] for w, g in gammas.items()}
+            g2 = {w: g[profile[w]:] for w, g in gammas.items()}
+            assert all(np.linalg.norm(g[w]) > 0.1 for g in (g1, g2) for w in q.vertices
+                       if profile[w])
+            # G1 is not scalar wherever some vertex has room for M₂(ℂ)
+            assert any(not _is_scalar(g1[w]) for w in q.vertices if profile[w] >= 2) == (
+                max(u, v) >= 2)
+
+    def test_entrywise_square_fails_every_trial(self):
+        q = sch_quiver()
+        plan = TrialPlan(50, 10, [{"u": 2, "v": 3}, {"u": 6, "v": 4}], checks=("intertwine",))
+        s = run_conformance(entrywise_square, plan, source_quiver=q).stats["intertwine"]
+        assert (s.executed, s.failures) == (10, 10) and s.max_residual > 1e-3
+        assert run_conformance(identity_map(q), plan).passed
+
+    @pytest.mark.parametrize("u, v", [(0, 3), (3, 0)])
+    def test_zero_vertex_pushes_a_non_scalar_gamma(self, monkeypatch, u, v):
+        residuals, seen = self._pushed(monkeypatch, {"u": u, "v": v})
+        n, w = max(u, v), "u" if u else "v"
+        assert max(residuals) <= 1e-12
+        for _, _, gammas in seen:
+            g1, g2 = gammas[w][:n], gammas[w][n:]
+            assert not _is_scalar(g1) and not _is_scalar(g2)
+            # G1 and G2 are independent: no multiple of one is the other
+            assert np.linalg.matrix_rank(np.stack([g1.ravel(), g2.ravel()])) == 2
 
     @pytest.mark.parametrize("u, v", INTERTWINE_PROFILES)
     def test_only_an_empty_point_skips(self, u, v):
@@ -366,9 +382,10 @@ class TestStackedTrials:
         q = classical_embed(1)
         f = FreeMapDef(q, q, {"x": inv(Atom("x"))})
         plan = TrialPlan(48, 6, [{"u": 2}, {"u": 3}], checks=self.CHECKS)
-        # trial 3's point, at the second profile, is zero in every check
-        singular = {conformance._hash_seed(f"{trial_seed(48, 3, check)}:x")
-                    for check in self.CHECKS}
+        # trial 3's point, at the second profile, is zero in every check:
+        # drawn as x, or for intertwine as z and w in Uᴴ(z ⊕ z ⊕ w)U
+        singular = {conformance._hash_seed(f"{trial_seed(48, 3, check)}:{role}")
+                    for check in self.CHECKS for role in "xzw"}
         draw = conformance.random_rep
 
         def random_rep(q, dims, seed):
@@ -397,8 +414,8 @@ class TestStackedTrials:
         assert run_conformance(ppt_map("pivot_D"), plan).passed
         # per profile: direct_sum and similarity take one stacked rel_diff
         # per arc (4 arcs), and similarity's draws 10 one-matrix SVDs (each
-        # automorphism is checked once per vertex); intertwine takes one
-        # stacked nullspace, one stacked 2-norm per vertex (2) and two per
-        # arc. Trial by trial, the plan took 350.
-        assert len(calls) == 2 * (4 + (10 + 4) + (1 + 2 + 2 * 4)) == 58
+        # automorphism is checked once per vertex); intertwine takes no
+        # nullspace, only one stacked 2-norm per vertex (2) and two per arc.
+        # Trial by trial, the plan takes 200.
+        assert len(calls) == 2 * (4 + (10 + 4) + (2 + 2 * 4)) == 56
         assert sum(len(shape) == 2 for shape in calls) == 2 * 10

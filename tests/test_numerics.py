@@ -9,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from freequiver.numerics import (
+    frob_norm,
+    frob_norms,
     inverse_rule,
     kernel,
     nullspace,
@@ -89,6 +91,35 @@ class TestOpNorms:
         m[1, 2] = np.nan
         with pytest.raises(np.linalg.LinAlgError):
             op_norms(m)
+
+
+class TestFrobNorms:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_subnormal_maximum(self):
+        assert frob_norms(np.array([[1e-310]])) == 1e-310
+        assert frob_norm([[1e-310, 0], [0, 3e-311]]) == pytest.approx(math.hypot(1e-310, 3e-311),
+                                                                      rel=1e-12)
+        stack = np.array([[[5e-324, 0j]], [[3e-310j, 4e-310]], [[1.0, 0.0]]])
+        assert list(frob_norms(stack)) == pytest.approx([5e-324, 5e-310, 1.0], rel=1e-12)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(
+        batch=st.lists(st.integers(1, 3), max_size=2),
+        rows=st.integers(1, 5),
+        cols=st.integers(1, 5),
+        scale=st.sampled_from([1e-300, 1e-150, 1.0, 1e150, 1e300]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_normal_maxima_keep_their_bits(self, batch, rows, cols, scale, seed):
+        m = scale * _cplx(np.random.Generator(np.random.PCG64(seed)), *batch, rows, cols)
+        # the one-step scaling the function used before subnormal maxima were handled
+        _, e = np.frexp(np.abs(m).max(axis=(-2, -1)))
+        scaled = m * np.ldexp(1.0, -e)[..., None, None]
+        if batch:
+            want = np.ldexp(np.linalg.norm(scaled, axis=(-2, -1)), e)
+        else:
+            want = np.ldexp(np.linalg.norm(scaled), e)
+        assert np.array_equal(frob_norms(m), want)
 
 
 class TestRelDiff:
