@@ -307,6 +307,9 @@ class TestIntertwineBasis:
             assert not _is_scalar(g1) and not _is_scalar(g2)
             # G1 and G2 are independent: no multiple of one is the other
             assert np.linalg.matrix_rank(np.stack([g1.ravel(), g2.ravel()])) == 2
+        plan = TrialPlan(51, 6, [{"u": u, "v": v}], checks=("intertwine",))
+        s = run_conformance(entrywise_square, plan, source_quiver=sch_quiver()).stats["intertwine"]
+        assert (s.executed, s.failures) == (6, 6)
 
     @pytest.mark.parametrize("u, v", INTERTWINE_PROFILES)
     def test_only_an_empty_point_skips(self, u, v):
