@@ -252,7 +252,7 @@ def _is_scalar(g):
 
 class TestIntertwineBasis:
     """The intertwine check pushes one Γ = [G1; G2] : x → x ⊕ x per trial,
-    with x = Uᴴ(z ⊕ z ⊕ w)U and G1, G2 drawn from Uᴴ(M₂(ℂ) ⊗ I ⊕ ℂ·I)U."""
+    with x = U⁻¹(z ⊕ z ⊕ w)U and G1, G2 drawn from U⁻¹(M₂(ℂ) ⊗ I ⊕ ℂ·I)U."""
 
     def _pushed(self, monkeypatch, profile, seeds=(5, 6, 7)):
         """The intertwine check's residuals at profile under the identity map
@@ -386,7 +386,7 @@ class TestStackedTrials:
         f = FreeMapDef(q, q, {"x": inv(Atom("x"))})
         plan = TrialPlan(48, 6, [{"u": 2}, {"u": 3}], checks=self.CHECKS)
         # trial 3's point, at the second profile, is zero in every check:
-        # drawn as x, or for intertwine as z and w in Uᴴ(z ⊕ z ⊕ w)U
+        # drawn as x, or for intertwine as z and w in U⁻¹(z ⊕ z ⊕ w)U
         singular = {conformance._hash_seed(f"{trial_seed(48, 3, check)}:{role}")
                     for check in self.CHECKS for role in "xzw"}
         draw = conformance.random_rep
