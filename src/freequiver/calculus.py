@@ -160,8 +160,9 @@ def directional_derivative(
     lower-left block (BlockMismatchError otherwise; anything else means the
     map is not free or the point is effectively irregular). When
     ‖tl − f(X)‖_F, ‖br − f(X)‖_F and ‖bl‖_F are all within _SCREEN·BLOCK_TOL
-    the point passes without a singular value decomposition; any other point
-    (a non-finite one included) takes the exact 2-norm residuals."""
+    the point passes without a singular value decomposition; any other
+    finite point takes the exact 2-norm residuals, and a non-finite one
+    raises LinAlgError."""
     fx = eval_map(f, x)
     _check_based_at(x, h)
     one = stack_reps([x])
@@ -173,6 +174,8 @@ def directional_derivative(
         tl, bl, br = z[:, :m, :n], z[:, m:, :n], z[:, m:, n:]
         w = 0.0  # a screened point's residuals are within BLOCK_TOL
         if not all([frob_norms(r)[0] <= _SCREEN * BLOCK_TOL for r in (tl - base, br - base, bl)]):
+            if not (np.isfinite(z).all() and np.isfinite(base).all()):
+                raise np.linalg.LinAlgError("f(X) or its block point is not finite")
             # maxed in order as Python's max does (not numerics.worst: a NaN
             # is 0/(1 + norm of an inf block), a pass)
             w = rel_diff(tl, base)

@@ -48,7 +48,7 @@ from .catalog import (
 from .conformance import TrialPlan, run_conformance
 from .errors import BlockMismatchError, ParseError, RegularityError, TypecheckError
 from .exprs import FreeMapDef, eval_map, render_expr
-from .numerics import frob_norm, op_norm, worst
+from .numerics import frob_norm, ginibre, op_norm, worst
 from .quivers import Quiver
 from .reps import Rep, random_rep, rep_residual
 from .serialize import parse_definition_file, rep_to_obj
@@ -382,9 +382,7 @@ def _demo_smw(job: argparse.Namespace, rep: Report) -> None:
 
 def _demo_cbh(job: argparse.Namespace, rep: Report) -> None:
     seed = resolve_seed(job.seed)
-    rng = np.random.Generator(np.random.PCG64(seed))
-    x0 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    y0 = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    x0, y0 = (m[0] for m in ginibre([seed], [(4, 4), (4, 4)]))
     x0 /= op_norm(x0)
     y0 /= op_norm(y0)
     norms = [0.1, 0.05, 0.025]

@@ -8,11 +8,12 @@ the derivative certificate reports full rank — that it also reflects them
 Every trial is reproducible from (master_seed, trial_index, check_name) alone.
 
 For each check, the trials of one dimension profile (trial index ≡ p modulo
-the number of profiles) run as one stack, a Rep with a size: every trial
-draws its own points from its own seed, eval_map evaluates the stack at once
-as it does one point, and the outcomes are recorded in trial order, bit for
-bit those of the trials run one by one. A stack that raises RegularityError
-runs again as stacks of one. lemma_part1 runs trial by trial.
+the number of profiles) run as one stack, a Rep with a size: each role's
+draws (x, y, S, ...) take one numerics.ginibre call, one stream per trial's
+seed, eval_map evaluates the stack at once, and the outcomes are recorded in
+trial order, bit for bit those of the trials run one by one. A stack that
+raises RegularityError runs again as stacks of one. lemma_part1 runs trial
+by trial.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 from .calculus import ift_certificate
 from .errors import RegularityError
 from .exprs import FreeMapDef, MapLike, eval_map
-from .numerics import worst
+from .numerics import ginibre, worst
 from .quivers import Quiver
 from .reps import (
     Rep,
@@ -34,8 +35,9 @@ from .reps import (
     direct_sum,
     intertwiner_space,
     nat_trans_residuals,
-    random_auto,
+    random_autos,
     random_rep,
+    random_reps,
     rep_residual,
     stack_reps,
 )
@@ -47,6 +49,10 @@ LEMMA_NOTE = "conditional on sampled injectivity evidence"
 
 def _hash_seed(label: str) -> int:
     return int.from_bytes(blake2b(label.encode(), digest_size=8).digest(), "big")
+
+
+def _role_seeds(seeds: Sequence[int], role: str) -> list[int]:
+    return [_hash_seed(f"{seed}:{role}") for seed in seeds]
 
 
 def trial_seed(master_seed: int, trial_index: int, check_name: str) -> int:
@@ -164,18 +170,17 @@ def _run_stack(f: MapLike, q: Quiver, check: str, profile: Mapping[str, int],
     at once. Returns each trial's residual, or None to skip it."""
     if check == "intertwine":
         return _intertwine(f, q, profile, seeds)
-    xs = [random_rep(q, profile, _hash_seed(f"{seed}:x")) for seed in seeds]
     if check == "lemma_part1":
-        return [_lemma_part1(f, q, p, seed) for p, seed in zip(xs, seeds)]
-    x = stack_reps(xs)
+        return [_lemma_part1(f, q, random_rep(q, profile, seed_x), seed)
+                for seed_x, seed in zip(_role_seeds(seeds, "x"), seeds)]
+    x = random_reps(q, profile, _role_seeds(seeds, "x"))
     if check == "direct_sum":
-        y = stack_reps([random_rep(q, profile, _hash_seed(f"{seed}:y")) for seed in seeds])
+        y = random_reps(q, profile, _role_seeds(seeds, "y"))
         left = _images(f, direct_sum(x, y))
         return rep_residual(left, direct_sum(_images(f, x), _images(f, y)))
 
     if check == "similarity":
-        autos = [random_auto(p, _hash_seed(f"{seed}:s")) for p, seed in zip(xs, seeds)]
-        s = {v: np.stack([a.s_mats[v] for a in autos]) for v in q.vertices}
+        s = random_autos(q, profile, _role_seeds(seeds, "s"))
         left = _images(f, conjugate(x, s))
         fx = _images(f, x)
         fs = {w: s[_image_vertex(f, w)] for w in fx.quiver.vertices}
@@ -190,25 +195,31 @@ def _intertwine(f: MapLike, q: Quiver, profile: Mapping[str, int],
     h = n // 2, w at dims n − 2h and U unitary (a Ginibre QR's Q, so κ(U) = 1),
     has End(x) ⊇ U⁻¹(M₂(ℂ) ⊗ I_h ⊕ ℂ·I)U, not only the scalars. Each trial
     pushes one Γ = [G1; G2] : x → x ⊕ x, with G1 and G2 independent random
-    elements of it. Only a point without a dimension skips, unevaluated."""
+    elements of it. Where the dims make that point scalar (at most one drawn
+    entry per loop, none on other arcs) though some n_v ≥ 2, x = U⁻¹(z ⊕ w)U,
+    z at ⌈n/2⌉, w at ⌊n/2⌋, and G1, G2 ∈ U⁻¹(ℂ·I ⊕ ℂ·I)U. Only a point
+    without a dimension skips, unevaluated."""
     if not any(profile[v] for v in q.vertices):
         return [None] * len(seeds)
     size, h = len(seeds), {v: profile[v] // 2 for v in q.vertices}
-    z, w = (stack_reps([random_rep(q, dims, _hash_seed(f"{seed}:{role}")) for seed in seeds])
-            for role, dims in (("z", h), ("w", {v: profile[v] - 2 * h[v] for v in q.vertices})))
-    rngs = [np.random.Generator(np.random.PCG64(_hash_seed(f"{seed}:u"))) for seed in seeds]
-    # the ":u" stream: U's Ginibre matrices, then G1's and G2's 2×2 block and scalar
-    *ginibre, coeffs = (np.stack([r.standard_normal(s) + 1j * r.standard_normal(s) for r in rngs])
-                        for s in [(profile[v],) * 2 for v in q.vertices] + [(2, 5)])
-    u = {v: np.linalg.qr(g)[0] for v, g in zip(q.vertices, ginibre)}
+    rest = {v: profile[v] - 2 * h[v] for v in q.vertices}
+    scalar = max(profile[v] for v in q.vertices) >= 2 and all(
+        h[a.src] * h[a.dst] + rest[a.src] * rest[a.dst] <= (a.src == a.dst) for a in q.arcs)
+    m, k = (1, {v: profile[v] - h[v] for v in q.vertices}) if scalar else (2, h)  # z's copies, dims
+    z, w = (random_reps(q, dims, _role_seeds(seeds, role)) for role, dims in (
+        ("z", k), ("w", {v: profile[v] - m * k[v] for v in q.vertices})))
+    # the ":u" stream: U's Ginibre matrices, then G1's and G2's m×m block and scalar
+    *g_u, coeffs = ginibre(_role_seeds(seeds, "u"), [(profile[v],) * 2 for v in q.vertices]
+                           + [(2, 5)])
+    u = {v: np.linalg.qr(g)[0] for v, g in zip(q.vertices, g_u)}
     gammas = {}
     for v in q.vertices:
-        n, k = profile[v], 2 * h[v]
+        n, j = profile[v], m * k[v]
         g = np.zeros((size, 2, n, n), dtype=np.complex128)
-        g[..., :k, :k] = np.kron(coeffs[..., :4].reshape(size, 2, 2, 2), np.eye(h[v]))
-        g[..., k:, k:] = coeffs[..., 4:, None] * np.eye(n - k)
+        g[..., :j, :j] = np.kron(coeffs[..., :m * m].reshape(size, 2, m, m), np.eye(k[v]))
+        g[..., j:, j:] = coeffs[..., 4:, None] * np.eye(n - j)
         gammas[v] = np.linalg.solve(u[v][:, None], g @ u[v][:, None]).reshape(size, 2 * n, n)
-    x = conjugate(direct_sum(direct_sum(z, z), w), u)
+    x = conjugate(direct_sum(direct_sum(z, z) if m == 2 else z, w), u)
     f_x = _images(f, x)
     per_arc = nat_trans_residuals(_images(f, direct_sum(x, x)), f_x,
                                   {v: gammas[_image_vertex(f, v)] for v in f_x.quiver.vertices})
@@ -223,7 +234,7 @@ def _lemma_part1(f: MapLike, q: Quiver, x: Rep, seed: int) -> float | None:
     if image_verts != set(q.vertices) or len(f.target_quiver.vertices) != len(q.vertices):
         return None  # lifts need a one-to-one object correspondence
     inverse_vmap = {f.vertex_map[v]: v for v in f.target_quiver.vertices}
-    s = random_auto(x, _hash_seed(f"{seed}:s"))
+    s = {v: m[0] for v, m in random_autos(q, x.dims, _role_seeds([seed], "s")).items()}
     y = conjugate(x, s)
     cert = ift_certificate(f, direct_sum(x, y))
     if cert.status != "full_rank":

@@ -28,10 +28,10 @@ one place:
   A strictly tall m takes the economy SVD (the same Vh). When gesdd does not
   converge, R from m = QR, which has m's singular values and right singular
   vectors, stands in;
-* an SVD with vectors fails on a NaN and can hang on an inf, so none gets a
-  non-finite matrix: kernel raises LinAlgError, inverse_rule fails the
-  operand with NaN sigmas and pinv gives NaN. op_norms keeps LAPACK's
-  values-only answer: LinAlgError on a NaN entry, NaN otherwise.
+* an SVD fails on a NaN and can hang on an inf, so none gets a non-finite
+  matrix: kernel raises LinAlgError, inverse_rule fails the operand with NaN
+  sigmas, and pinv and singular_values (so op_norms) give NaN for it;
+* every Ginibre draw comes from ginibre, one PCG64 stream read per seed.
 """
 
 from __future__ import annotations
@@ -132,17 +132,24 @@ def rel_diff(a, b):
 
 def singular_values(m) -> np.ndarray:
     """Singular values of m, or of each matrix of a stack (..., rows, cols),
-    in descending order; none where an axis is empty."""
+    in descending order; none where an axis is empty, NaN for a non-finite m."""
     a = np.asarray(m)
     if a.shape[-2] == 0 or a.shape[-1] == 0:
         return np.zeros(a.shape[:-2] + (0,))
-    return np.linalg.svd(a, compute_uv=False)
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if finite.all():
+        return np.linalg.svd(a, compute_uv=False)
+    s = np.full(a.shape[:-2] + (min(a.shape[-2:]),), np.nan)
+    if finite.any():
+        s[finite] = np.linalg.svd(a[finite], compute_uv=False)
+    return s
 
 
-def kernel(m, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+def kernel(m, rtol: float, scale=None) -> tuple[np.ndarray, np.ndarray]:
     """(s, basis) of a 2-d m: its singular values, descending, and the rows of
     an orthonormal basis of its kernel: the right singular vectors past the
-    rank, which counts s > rtol * s[0]; m @ row ≈ 0. No rows: the identity."""
+    rank, which counts s > rtol * scale (s[0] by default); m @ row ≈ 0. No
+    rows: the identity."""
     a = np.asarray(m, dtype=np.complex128)
     if not np.isfinite(a).all():  # gesdd fails on a NaN and can hang on an inf
         raise np.linalg.LinAlgError("kernel of a non-finite matrix")
@@ -153,13 +160,13 @@ def kernel(m, rtol: float) -> tuple[np.ndarray, np.ndarray]:
     except np.linalg.LinAlgError:  # seen on Jacobians with a large kernel
         _, s, vh = np.linalg.svd(np.linalg.qr(a)[1], full_matrices=True)
     # rows of vh are conjugated right singular vectors
-    return s, np.conj(vh[_rank(s, rtol):])
+    return s, np.conj(vh[_rank(s, rtol, scale):])
 
 
-def _rank(s, rtol: float) -> int:
+def _rank(s, rtol: float, scale=None) -> int:
     """How many of the singular values s, descending and non-empty, exceed
-    rtol * s[0]: the rank that kernel and values_first_kernel count."""
-    return int(np.sum(s > rtol * s[0]))
+    rtol * scale (s[0] by default): the rank kernel and its callers count."""
+    return int(np.sum(s > rtol * (s[0] if scale is None else scale)))
 
 
 def values_first_kernel(m, rtol: float) -> tuple[np.ndarray, np.ndarray] | None:
@@ -182,8 +189,7 @@ def values_first_kernel(m, rtol: float) -> tuple[np.ndarray, np.ndarray] | None:
             return s, np.zeros((0, s.size), dtype=np.complex128)
         if dim == s.size:
             return None
-        rng = np.random.default_rng(0)
-        z = rng.standard_normal((s.size, dim)) + 1j * rng.standard_normal((s.size, dim))
+        z = ginibre([0], [(s.size, dim)])[0][0]
         q = np.linalg.qr(z - np.linalg.lstsq(a, a @ z, rcond=rtol)[0])[0]
         wh = np.linalg.svd(a @ q, full_matrices=False)[2]
     except np.linalg.LinAlgError:
@@ -191,22 +197,41 @@ def values_first_kernel(m, rtol: float) -> tuple[np.ndarray, np.ndarray] | None:
     return s, (q @ wh.conj().T).T
 
 
-def nullspace(m) -> np.ndarray:
-    """kernel's basis of m at rtol = max(rows, cols) * machine eps * 10. For a
-    stack (B, rows, cols), B bases from one stacked SVD (LAPACK takes it matrix
-    by matrix, so each keeps its bits), or from kernel per matrix when the
-    stack is empty, not finite or does not converge."""
+def nullspace(m, scale=None) -> np.ndarray:
+    """kernel's basis of m at rtol = max(rows, cols) * machine eps * 10 and
+    scale (one per matrix of a stack), e.g. the largest modulus of the entries
+    that built m, which may cancel to rounding noise. For a stack (B, rows,
+    cols), B bases from one stacked SVD (LAPACK takes it matrix by matrix, so
+    each keeps its bits), or from kernel per matrix when the stack is empty,
+    not finite or does not converge."""
     rtol = max(np.shape(m)[-2:]) * _EPS * 10.0
     if np.ndim(m) == 2:
-        return kernel(m, rtol)[1]
+        return kernel(m, rtol, scale)[1]
     a = np.asarray(m, dtype=np.complex128)
+    scale = [None] * len(a) if scale is None else scale
     try:
         if a.size and np.isfinite(a).all():
             _, s, vh = np.linalg.svd(a, full_matrices=a.shape[-2] <= a.shape[-1])
-            return [np.conj(vb[_rank(sb, rtol):]) for sb, vb in zip(s, vh)]
+            return [np.conj(vb[_rank(sb, rtol, c):]) for sb, vb, c in zip(s, vh, scale)]
     except np.linalg.LinAlgError:
         pass
-    return [kernel(one, rtol)[1] for one in a]
+    return [kernel(one, rtol, c)[1] for one, c in zip(a, scale)]
+
+
+def ginibre(seeds, shapes) -> list[np.ndarray]:
+    """One stack (len(seeds), rows, cols) of complex Ginibre matrices per
+    shape, each seed's PCG64 stream read in one standard_normal call: as that
+    stream is sequential, bit for bit standard_normal(shape) + 1j *
+    standard_normal(shape) drawn shape by shape from the seed's Generator."""
+    sizes = [rows * cols for rows, cols in shapes]
+    draws = np.empty((len(seeds), 2 * sum(sizes)))
+    for row, seed in zip(draws, seeds):
+        np.random.Generator(np.random.PCG64(seed)).standard_normal(out=row)
+    out, k = [], 0
+    for shape, n in zip(shapes, sizes):
+        out.append((draws[:, k:k + n] + 1j * draws[:, k + n:k + 2 * n]).reshape(len(seeds), *shape))
+        k += 2 * n
+    return out
 
 
 def pinv(m) -> np.ndarray:

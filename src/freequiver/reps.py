@@ -7,11 +7,13 @@ arc squares commute; the intertwiner space is computed by vectorizing all
 per-vertex unknowns into one homogeneous linear system and taking its SVD
 nullspace. A Rep with a size is a stack of that many points of one dimension
 profile, each arc's matrices stacked (size, rows, cols); stack_reps builds
-one. Every block point [[X, U], [0, Y]] (the direct sum is U = 0, the block
-trick's derivative point is [[X, H], [0, X]]) comes from block_points, as one
-point or a stack of them. Functions that also take a stack treat all its
-points in one numpy call per arc or vertex; LAPACK and BLAS run it matrix by
-matrix, so each point keeps the bits it has alone.
+one, random_reps draws one, a point per seed, in one numerics.ginibre call
+(random_rep and random_auto are one-seed draws). Every block point [[X, U],
+[0, Y]] (the direct sum is U = 0, the block trick's derivative point is
+[[X, H], [0, X]]) comes from block_points, as one point or a stack of them.
+Functions that also take a stack treat all its points in one numpy call per
+arc or vertex; LAPACK and BLAS run it matrix by matrix, so each point keeps
+the bits it has alone.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from .errors import RegularityError
 from .numerics import (
     DEFAULT_TOL,
     as_complex_matrix,
+    ginibre,
+    inverse_rule,
     is_invertible,
     joint_frob_norm,
     nullspace,
@@ -212,9 +216,9 @@ class NatAuto:
 
 
 def conjugate(x: Rep, s: NatAuto | Mapping[str, np.ndarray]) -> Rep:
-    """Arc a -> S_dst^{-1} X(a) S_src, for a NatAuto s of x; or for a
-    stack x, with s mapping each vertex to the stack (size, n, n) of its
-    automorphisms, one per point, already known to be invertible."""
+    """Arc a -> S_dst^{-1} X(a) S_src, for a NatAuto s of x; or with s
+    mapping each vertex to x's automorphism there (for a stack x, the stack
+    (size, n, n) of them, one per point), already known to be invertible."""
     if isinstance(s, NatAuto):
         if s.rep.quiver != x.quiver or s.rep.dims != x.dims:
             raise ValueError("automorphism shaped for a different rep")
@@ -269,7 +273,7 @@ def intertwiner_space(x: Rep, y: Rep) -> list[NatTrans]:
         vec(A M) = (A kron I) vec(M),   vec(M B) = (I kron B^T) vec(M),
     whose nonzero entries are written on the blocks' diagonals, and solved
     with an SVD nullspace at the numerics module's rank cutoff, one stacked
-    SVD for a stack.
+    SVD for a stack, scaled by the largest entry modulus of x and y per point.
     """
     if x.quiver != y.quiver:
         raise ValueError("intertwiner space needs reps over the same quiver")
@@ -297,37 +301,50 @@ def intertwiner_space(x: Rep, y: Rep) -> list[NatTrans]:
         return {v: vec[offsets[v]:offsets[v] + sizes[v]].reshape(x.dims[v], y.dims[v])
                 for v in q.vertices}
 
+    # not the system's own: at a scalar point its entries cancel to noise
+    scale = np.max([np.zeros(lead)] + [np.abs(m).max(axis=(-2, -1), initial=0.0)
+                                       for r in (x, y) for m in r.mats.values()], axis=0)
     if lead:
-        return [[gammas(vec) for vec in basis] for basis in nullspace(system)]
-    return [NatTrans(y, x, gammas(vec)) for vec in nullspace(system)]
+        return [[gammas(vec) for vec in basis] for basis in nullspace(system, scale)]
+    return [NatTrans(y, x, gammas(vec)) for vec in nullspace(system, scale)]
+
+
+def random_reps(q: Quiver, dims: Mapping[str, int], seeds: Sequence[int]) -> Rep:
+    """The stack of random_rep(q, dims, seed) over seeds, from one draw."""
+    mats = ginibre(seeds, [(dims[a.dst], dims[a.src]) for a in q.arcs])
+    return Rep(q, dict(dims), dict(zip(q.arc_names(), mats)), len(seeds))
 
 
 def random_rep(q: Quiver, dims: Mapping[str, int], seed: int) -> Rep:
     """Deterministic complex-Ginibre rep: entries are standard complex normals
     (real and imaginary parts each N(0,1)) drawn from numpy's PCG64 stream for
     the given seed, in quiver arc order."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    mats = {}
-    for a in q.arcs:
-        shape = (dims[a.dst], dims[a.src])
-        mats[a.name] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return Rep(q, dict(dims), mats)
+    mats = ginibre([seed], [(dims[a.dst], dims[a.src]) for a in q.arcs])
+    return Rep(q, dict(dims), {a.name: m[0] for a, m in zip(q.arcs, mats)})
+
+
+def random_autos(q: Quiver, dims: Mapping[str, int], seeds: Sequence[int]) -> dict[str, np.ndarray]:
+    """Per vertex, the stack (len(seeds), n, n) of random_auto's matrices for
+    seeds, with one inverse_rule call per vertex per draw: a seed whose draw
+    fails at any vertex draws all its matrices again from its own stream."""
+    shapes = [(dims[v],) * 2 for v in q.vertices]
+    autos = {v: np.empty((len(seeds), *s), dtype=np.complex128) for v, s in zip(q.vertices, shapes)}
+    redo, draws = list(range(len(seeds))), 0
+    while redo:
+        draws += 1
+        drawn = ginibre([seeds[b] for b in redo], shapes * draws)[len(shapes) * (draws - 1):]
+        ok = np.ones(len(redo), dtype=bool)
+        for v, m in zip(q.vertices, drawn):
+            autos[v][redo] = m
+            ok &= inverse_rule(m)[0]
+        redo = [b for b, good in zip(redo, ok) if not good]
+    return autos
 
 
 def random_auto(x: Rep, seed: int) -> NatAuto:
-    """Seeded random natural automorphism of x: Ginibre per vertex, all
-    redrawn (deterministically) in the rare singular case. NatAuto decides
-    each draw."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    while True:
-        mats = {}
-        for v in x.quiver.vertices:
-            n = x.dims[v]
-            mats[v] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        try:
-            return NatAuto(x, mats)
-        except RegularityError:
-            pass
+    """Seeded random natural automorphism of x: Ginibre per vertex from
+    numpy's PCG64 stream for the seed, drawn again while one is singular."""
+    return NatAuto(x, {v: s[0] for v, s in random_autos(x.quiver, x.dims, [seed]).items()})
 
 
 def check_relations(x: Rep, pres: RelationPresentation, tol: float = DEFAULT_TOL) -> ResidualReport:

@@ -27,7 +27,15 @@ from freequiver.exprs import (
     sub,
 )
 from freequiver.quivers import classical_embed
-from freequiver.reps import NatTrans, Rep, check_nat_trans, direct_sum
+from freequiver.reps import (
+    NatTrans,
+    Rep,
+    check_nat_trans,
+    conjugate,
+    direct_sum,
+    random_rep,
+    stack_reps,
+)
 
 
 def transpose_hook(x):
@@ -250,14 +258,46 @@ def _is_scalar(g):
     return np.allclose(g, np.trace(g) / n * np.eye(n), atol=1e-9 * np.linalg.norm(g))
 
 
+# where the point U⁻¹(z ⊕ z ⊕ w)U is scalar though some vertex has n ≥ 2, so
+# the check draws U⁻¹(z ⊕ w)U; and profiles that keep the z ⊕ z ⊕ w draw
+SCALAR_PROFILES = [(sch_quiver(), {"u": 0, "v": 2}), (sch_quiver(), {"u": 2, "v": 0}),
+                   (sch_quiver(), {"u": 1, "v": 2}), (classical_embed(2), {"u": 2})]
+KEPT_PROFILES = [(sch_quiver(), {"u": 2, "v": 2}), (sch_quiver(), {"u": 2, "v": 3}),
+                 (sch_quiver(), {"u": 6, "v": 4}), (classical_embed(2), {"u": 3}),
+                 (classical_embed(2), {"u": 6})]
+
+
+def per_trial_intertwine_draw(q, profile, seeds):
+    """The intertwine check's x and Γ as drawn before numerics.ginibre, one
+    generator per trial and z ⊕ z ⊕ w at every profile: the reference of the
+    profiles that keep that draw."""
+    size, h = len(seeds), {v: profile[v] // 2 for v in q.vertices}
+    z, w = (stack_reps([random_rep(q, dims, conformance._hash_seed(f"{seed}:{role}"))
+                        for seed in seeds])
+            for role, dims in (("z", h), ("w", {v: profile[v] - 2 * h[v] for v in q.vertices})))
+    rngs = [np.random.Generator(np.random.PCG64(conformance._hash_seed(f"{seed}:u")))
+            for seed in seeds]
+    *ginibre, coeffs = (np.stack([r.standard_normal(s) + 1j * r.standard_normal(s) for r in rngs])
+                        for s in [(profile[v],) * 2 for v in q.vertices] + [(2, 5)])
+    u = {v: np.linalg.qr(g)[0] for v, g in zip(q.vertices, ginibre)}
+    gammas = {}
+    for v in q.vertices:
+        n, k = profile[v], 2 * h[v]
+        g = np.zeros((size, 2, n, n), dtype=np.complex128)
+        g[..., :k, :k] = np.kron(coeffs[..., :4].reshape(size, 2, 2, 2), np.eye(h[v]))
+        g[..., k:, k:] = coeffs[..., 4:, None] * np.eye(n - k)
+        gammas[v] = np.linalg.solve(u[v][:, None], g @ u[v][:, None]).reshape(size, 2 * n, n)
+    return conjugate(direct_sum(direct_sum(z, z), w), u), gammas
+
+
 class TestIntertwineBasis:
     """The intertwine check pushes one Γ = [G1; G2] : x → x ⊕ x per trial,
     with x = U⁻¹(z ⊕ z ⊕ w)U and G1, G2 drawn from U⁻¹(M₂(ℂ) ⊗ I ⊕ ℂ·I)U."""
 
-    def _pushed(self, monkeypatch, profile, seeds=(5, 6, 7)):
-        """The intertwine check's residuals at profile under the identity map
-        (which pushes Γ forward unchanged), with per point (x ⊕ x, x, Γ) as
-        nat_trans_residuals saw them."""
+    def _pushed(self, monkeypatch, profile, seeds=(5, 6, 7), q=None):
+        """The intertwine check's residuals at profile (on the Schur quiver by
+        default) under the identity map (which pushes Γ forward unchanged),
+        with per point (x ⊕ x, x, Γ) as nat_trans_residuals saw them."""
         seen, nat_trans_residuals = [], conformance.nat_trans_residuals
 
         def record(to_rep, from_rep, gammas):
@@ -266,7 +306,7 @@ class TestIntertwineBasis:
             return nat_trans_residuals(to_rep, from_rep, gammas)
 
         monkeypatch.setattr(conformance, "nat_trans_residuals", record)
-        q = sch_quiver()
+        q = q or sch_quiver()
         residuals = conformance._run_stack(identity_map(q), q, "intertwine", profile, seeds)
         return residuals, seen
 
@@ -310,6 +350,29 @@ class TestIntertwineBasis:
         plan = TrialPlan(51, 6, [{"u": u, "v": v}], checks=("intertwine",))
         s = run_conformance(entrywise_square, plan, source_quiver=sch_quiver()).stats["intertwine"]
         assert (s.executed, s.failures) == (6, 6)
+
+    @pytest.mark.parametrize("q, profile", SCALAR_PROFILES)
+    def test_scalar_profiles_draw_a_point_with_power(self, monkeypatch, q, profile):
+        plan = TrialPlan(60, 10, [profile], checks=("intertwine",))
+        s = run_conformance(entrywise_square, plan, source_quiver=q).stats["intertwine"]
+        assert (s.executed, s.failures) == (10, 10) and s.max_residual > 0.1
+        free = ([schur_map(), ppt_map("pivot_D"), block_inverse_map()] if q == sch_quiver()
+                else [random_polynomial_map(q, q, 61, max_degree=3)])
+        for f in free:
+            s = run_conformance(f, plan).stats["intertwine"]
+            assert (s.executed, s.passes) == (10, 10) and s.max_residual <= 1e-12
+        residuals, seen = self._pushed(monkeypatch, profile, q=q)
+        assert max(residuals) <= 1e-12
+        for _, _, gammas in seen:  # G1 = U⁻¹(a·I ⊕ b·I)U is not scalar where n ≥ 2
+            assert all(not _is_scalar(g[:profile[v]]) for v, g in gammas.items() if profile[v] >= 2)
+
+    @pytest.mark.parametrize("q, profile", KEPT_PROFILES)
+    def test_other_profiles_keep_their_draw(self, monkeypatch, q, profile):
+        _, seen = self._pushed(monkeypatch, profile, q=q)
+        x, gammas = per_trial_intertwine_draw(q, profile, (5, 6, 7))
+        for b, (_, mats, g) in enumerate(seen):
+            assert all(mats[a].tobytes() == m[b].tobytes() for a, m in x.mats.items())
+            assert all(g[v].tobytes() == m[b].tobytes() for v, m in gammas.items())
 
     @pytest.mark.parametrize("u, v", INTERTWINE_PROFILES)
     def test_only_an_empty_point_skips(self, u, v):
@@ -389,15 +452,16 @@ class TestStackedTrials:
         # drawn as x, or for intertwine as z and w in U⁻¹(z ⊕ z ⊕ w)U
         singular = {conformance._hash_seed(f"{trial_seed(48, 3, check)}:{role}")
                     for check in self.CHECKS for role in "xzw"}
-        draw = conformance.random_rep
+        draw = conformance.random_reps
 
-        def random_rep(q, dims, seed):
-            x = draw(q, dims, seed)
-            if seed in singular:
-                return Rep(q, dict(x.dims), {a: 0 * m for a, m in x.mats.items()})
+        def random_reps(q, dims, seeds):
+            x = draw(q, dims, seeds)
+            for b in [b for b, seed in enumerate(seeds) if seed in singular]:
+                for m in x.mats.values():
+                    m[b] = 0
             return x
 
-        monkeypatch.setattr(conformance, "random_rep", random_rep)
+        monkeypatch.setattr(conformance, "random_reps", random_reps)
         report = run_conformance(f, plan)
         for name in self.CHECKS:
             s = report.stats[name]
@@ -416,9 +480,9 @@ class TestStackedTrials:
         plan = TrialPlan(49, 10, [{"u": 2, "v": 3}, {"u": 6, "v": 4}], checks=self.CHECKS)
         assert run_conformance(ppt_map("pivot_D"), plan).passed
         # per profile: direct_sum and similarity take one stacked rel_diff
-        # per arc (4 arcs), and similarity's draws 10 one-matrix SVDs (each
-        # automorphism is checked once per vertex); intertwine takes no
-        # nullspace, only one stacked 2-norm per vertex (2) and two per arc.
-        # Trial by trial, the plan takes 200.
-        assert len(calls) == 2 * (4 + (10 + 4) + (2 + 2 * 4)) == 56
-        assert sum(len(shape) == 2 for shape in calls) == 2 * 10
+        # per arc (4 arcs), and similarity's draws one stacked inverse_rule
+        # per vertex (2); intertwine takes no nullspace, only one stacked
+        # 2-norm per vertex (2) and two per arc. Trial by trial, the plan
+        # takes 200.
+        assert len(calls) == 2 * (4 + (2 + 4) + (2 + 2 * 4)) == 40
+        assert sum(len(shape) == 2 for shape in calls) == 0

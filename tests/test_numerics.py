@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from freequiver.numerics import (
     frob_norm,
     frob_norms,
+    ginibre,
     inverse_rule,
     kernel,
     nullspace,
@@ -19,6 +20,7 @@ from freequiver.numerics import (
     pinv,
     rel_diff,
     rel_residual,
+    singular_values,
     values_first_kernel,
     worst,
 )
@@ -86,11 +88,46 @@ class TestOpNorms:
         if not batch:
             assert op_norm(m) == float(want)
 
-    def test_non_finite_matrix_still_raises(self):
-        m = np.ones((3, 3), dtype=np.complex128)
-        m[1, 2] = np.nan
-        with pytest.raises(np.linalg.LinAlgError):
-            op_norms(m)
+    def test_non_finite_matrices_are_nan_without_lapack(self, monkeypatch, capfd):
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: seen.append(a.shape) or svd(a, **kw))
+        assert math.isnan(op_norm([[np.nan, 1], [1, 1]]))
+        assert math.isnan(op_norm(np.full((3, 3), np.inf)))
+        assert seen == [] and capfd.readouterr().err == ""  # no LAPACK DLASCL lines
+        # a stack: each finite matrix keeps its bits, each other one is NaN
+        m = _cplx(np.random.Generator(np.random.PCG64(3)), 4, 3, 2)
+        m[1, 2, 0], m[3, 0, 1] = np.inf, complex(0, np.nan)
+        s = singular_values(m)
+        assert seen == [(2, 3, 2)] and np.isnan(s[[1, 3]]).all()
+        for b in (0, 2):
+            assert s[b].tobytes() == svd(m[b], compute_uv=False).tobytes()
+
+
+def per_arc_draw(seed, shapes):
+    """Ginibre matrices as drawn before numerics.ginibre, one shape at a time:
+    its reference."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return [rng.standard_normal(s) + 1j * rng.standard_normal(s) for s in shapes]
+
+
+class TestGinibre:
+    @pytest.mark.parametrize("seeds", [[7], [0, 2**64 - 1], [11, 12, 13, 14, 15]])
+    def test_stacks_are_the_per_arc_draws(self, seeds):
+        shapes = [(2, 3), (0, 4), (3, 3), (1, 1), (4, 0), (2, 5)]
+        got = ginibre(seeds, shapes)
+        assert [g.shape for g in got] == [(len(seeds),) + s for s in shapes]
+        for b, seed in enumerate(seeds):
+            for g, want in zip(got, per_arc_draw(seed, shapes)):
+                assert g[b].tobytes() == want.tobytes()
+
+    def test_default_rng_zero_is_seed_zero(self):
+        rng = np.random.default_rng(0)  # values_first_kernel's projections before ginibre
+        want = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        assert ginibre([0], [(5, 2)])[0][0].tobytes() == want.tobytes()
+
+    def test_no_seeds_or_shapes(self):
+        assert [g.shape for g in ginibre([], [(2, 2)])] == [(0, 2, 2)]
+        assert ginibre([1, 2], []) == []
 
 
 class TestFrobNorms:

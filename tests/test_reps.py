@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
+from freequiver import reps
+from freequiver.catalog import smw_quiver
 from freequiver.errors import RegularityError
-from freequiver.numerics import nullspace, op_norm
+from freequiver.numerics import is_invertible, nullspace, op_norm
 from freequiver.quivers import (
     Arc,
     Quiver,
@@ -29,7 +31,9 @@ from freequiver.reps import (
     intertwiner_space,
     nat_trans_residuals,
     random_auto,
+    random_autos,
     random_rep,
+    random_reps,
     rep_residual,
     stack_reps,
 )
@@ -371,6 +375,24 @@ class TestIntertwinerSpace:
         assert check_nat_trans(as_nt, tol=1e-8).passed
 
 
+    @pytest.mark.parametrize("q, dims", [(sch_quiver(), {"u": 0, "v": 2}),
+                                         (classical_embed(2), {"u": 2})])
+    @pytest.mark.parametrize("scale", [1.0, 1e-6])
+    def test_scalar_point_has_all_of_m2(self, q, dims, scale):
+        # x = U⁻¹(z ⊕ z)U is z·I up to rounding, so End(x) is all of M₂(ℂ);
+        # the system's own entries cancel to rounding noise, which a cutoff
+        # relative to its largest singular value counts as rank
+        points = []
+        for seed in range(8):
+            z = random_rep(q, {v: n // 2 for v, n in dims.items()}, 130 + seed)
+            u = {v: np.linalg.qr(m)[0] for v, m in random_auto(direct_sum(z, z), 140 + seed).s_mats.items()}
+            points.append(conjugate(direct_sum(z, z), NatAuto(direct_sum(z, z), u)))
+            points[-1].mats = {a: scale * m for a, m in points[-1].mats.items()}
+            assert len(intertwiner_space(points[-1], points[-1])) == 4
+            assert len(nullspace(kron_system(points[-1], points[-1]))) < 4
+        assert [len(b) for b in intertwiner_space(stack_reps(points), stack_reps(points))] == [4] * 8
+
+
 class TestRepResidual:
     def test_inf_on_a_later_arc_is_nan(self):
         # rel_diff there is inf/inf; a fold that drops it would read 0.0
@@ -437,7 +459,9 @@ class TestRepStacks:
         for left, right in ((xs, ys), (xs, xs)):
             stacked = intertwiner_space(stack_reps(left), stack_reps(right))
             for b, basis in enumerate(stacked):
-                want = nullspace(kron_system(left[b], right[b]))
+                scale = max((np.abs(m).max(initial=0.0) for p in (left[b], right[b])
+                             for m in p.mats.values()), default=0.0)
+                want = nullspace(kron_system(left[b], right[b]), scale)
                 single = intertwiner_space(left[b], right[b])
                 assert len(basis) == len(single) == len(want)
                 for g, h, w in zip(basis, single, want):
@@ -479,6 +503,65 @@ class TestRandomRep:
         q = sch_quiver()
         r = random_rep(q, {"u": 0, "v": 0}, 5)
         assert all(m.size == 0 for m in r.mats.values())
+
+
+def per_arc_rep(q, dims, seed):
+    """random_rep's matrices as drawn before numerics.ginibre, arc by arc: its
+    reference."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    return {a.name: rng.standard_normal(s) + 1j * rng.standard_normal(s)
+            for a in q.arcs for s in [(dims[a.dst], dims[a.src])]}
+
+
+def per_vertex_auto(q, dims, seed, rejected=0):
+    """random_auto's matrices as drawn before numerics.ginibre, vertex by
+    vertex and drawn again while one is singular, with the first `rejected`
+    draws refused as well: its reference."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for draw in itertools.count():
+        mats = {v: rng.standard_normal((dims[v],) * 2) + 1j * rng.standard_normal((dims[v],) * 2)
+                for v in q.vertices}
+        if draw >= rejected and all(is_invertible(m) for m in mats.values()):
+            return mats
+
+
+DRAW_POINTS = [(sch_quiver(), {"u": 3, "v": 2}), (sch_quiver(), {"u": 0, "v": 2}),
+               (smw_quiver(), {"u": 4, "v": 1}), (smw_quiver(), {"u": 2, "v": 0}),
+               (classical_embed(2), {"u": 3}), (classical_embed(2), {"u": 0})]
+
+
+class TestRandomDraws:
+    """Points and automorphisms come from numerics.ginibre, a stack of them
+    in one call, bit for bit as they were drawn one matrix at a time."""
+
+    @pytest.mark.parametrize("size", [1, 2, 5])
+    @pytest.mark.parametrize("q, dims", DRAW_POINTS)
+    def test_stacks_are_the_per_arc_draws(self, q, dims, size):
+        seeds = [1000 + 7 * b for b in range(size)]
+        x, autos = random_reps(q, dims, seeds), random_autos(q, dims, seeds)
+        assert x.size == size and x.dims == dims
+        for b, seed in enumerate(seeds):
+            want, one = per_arc_rep(q, dims, seed), random_rep(q, dims, seed)
+            for a in q.arc_names():
+                assert same_bits(x.mats[a][b], want[a]) and same_bits(one.mats[a], want[a])
+            want, one = per_vertex_auto(q, dims, seed), random_auto(one, seed)
+            for v in q.vertices:
+                assert same_bits(autos[v][b], want[v]) and same_bits(one.s_mats[v], want[v])
+
+    def test_a_failed_draw_redraws_from_its_own_stream(self, monkeypatch):
+        q, dims, seeds = sch_quiver(), {"u": 2, "v": 3}, [21, 22, 23, 24, 25]
+        first, rule = per_vertex_auto(q, dims, 23)["v"], reps.inverse_rule
+
+        def failing(m):  # refuses trial 2's first draw at v
+            ok, smin, smax, reason = rule(m)
+            return ok & ~np.array([np.array_equal(one, first) for one in m]), smin, smax, reason
+
+        monkeypatch.setattr(reps, "inverse_rule", failing)
+        autos = random_autos(q, dims, seeds)
+        for b, seed in enumerate(seeds):
+            want = per_vertex_auto(q, dims, seed, rejected=int(seed == 23))
+            assert all(same_bits(autos[v][b], want[v]) for v in q.vertices)
+        assert not same_bits(autos["v"][2], first)
 
 
 def s3_fixture():
