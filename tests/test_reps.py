@@ -386,8 +386,8 @@ class TestIntertwinerSpace:
         for seed in range(8):
             z = random_rep(q, {v: n // 2 for v, n in dims.items()}, 130 + seed)
             u = {v: np.linalg.qr(m)[0] for v, m in random_auto(direct_sum(z, z), 140 + seed).s_mats.items()}
-            points.append(conjugate(direct_sum(z, z), NatAuto(direct_sum(z, z), u)))
-            points[-1].mats = {a: scale * m for a, m in points[-1].mats.items()}
+            x = conjugate(direct_sum(z, z), NatAuto(direct_sum(z, z), u))
+            points.append(Rep(q, dims, {a: scale * m for a, m in x.mats.items()}))
             assert len(intertwiner_space(points[-1], points[-1])) == 4
             assert len(nullspace(kron_system(points[-1], points[-1]))) < 4
         assert [len(b) for b in intertwiner_space(stack_reps(points), stack_reps(points))] == [4] * 8
